@@ -8,8 +8,9 @@ Carlo curves written as CSV plus a JSON run manifest), and
 Exit codes: 0 on success (including flagged-but-valid outputs), 2 on usage
 errors, 3 on numerical failure. Every command accepts ``--json``; file
 outputs are byte-stable for fixed inputs and seed. ``PERINULL_SEED``
-provides a default seed, and ``--config`` points at a key=value file whose
-entries are overridden by explicit flags.
+provides the default seed of ``simulate`` (1234 when unset); a value that is
+not an integer in [0, 2**64) is a usage error. ``--config`` points at a
+key=value file whose entries are overridden by explicit flags.
 """
 
 from __future__ import annotations
@@ -64,14 +65,17 @@ def _write_manifest(path: str, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _default_seed() -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("PERINULL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 1234
+    if env is None:
+        return 1234
+    try:
+        seed = int(env)
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError
+    except ValueError:
+        parser.error(f"PERINULL_SEED must be an integer in [0, 2**64), got {env!r}")
+    return seed
 
 
 def _parse_grid(spec: str, parser: argparse.ArgumentParser):
@@ -109,22 +113,10 @@ def _stats_from_args(args, parser):
 
 def _cmd_bf(args, parser) -> int:
     stats = _stats_from_args(args, parser)
-    cfg = engine.DEFAULT_QUADRATURE
     variant = args.variant
-    if variant == "point":
-        result = engine.point_null_bf10(stats, args.kappa1, cfg, args.prior_odds)
-    elif variant == "peri":
-        result = engine.peri_null_bf(stats, args.kappa0, args.kappa1, cfg, args.prior_odds)
-    elif variant == "interval":
-        result = engine.interval_null_bf(stats, args.kappa1, args.a, cfg, args.prior_odds)
-    elif variant == "peripoint":
-        result = engine.peri_point_bf(stats, args.xi, args.kappa0, args.kappa1,
-                                      cfg, args.prior_odds)
-    elif variant == "shrinking":
-        result = engine.shrinking_peri_null_bf(stats, args.c, args.kappa1,
-                                               cfg, args.prior_odds)
-    else:  # pragma: no cover - argparse enforces choices
-        parser.error(f"unknown variant {variant!r}")
+    result = engine.variant_bf(variant, stats, prior_odds=args.prior_odds,
+                               kappa0=args.kappa0, kappa1=args.kappa1, a=args.a,
+                               xi=args.xi, c=args.c)
     if args.json:
         payload = result.as_dict()
         payload.update({
@@ -434,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("M1", "SD1", "N1", "M2", "SD2", "N2"))
     bf.add_argument("--design", choices=("one-sample", "two-sample"),
                     default="one-sample")
-    bf.add_argument("--variant", required=True,
-                    choices=("point", "peri", "interval", "peripoint", "shrinking"))
+    bf.add_argument("--variant", required=True, choices=tuple(engine.VARIANTS))
     bf.add_argument("--kappa0", type=float, default=0.05)
     bf.add_argument("--kappa1", type=float, default=1.0 / math.sqrt(2.0))
     bf.add_argument("--a", type=float, default=0.5)
@@ -527,7 +518,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "simulate":
-        args.seed = _default_seed()
+        args.seed = _default_seed(parser)
     handlers = {
         "bf": _cmd_bf,
         "asymptotics": _cmd_asymptotics,

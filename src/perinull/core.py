@@ -190,8 +190,8 @@ class BFResult:
     def __post_init__(self):
         if self.prior_odds <= 0:
             raise InvalidInputError("prior_odds must be positive")
-        if self.quad_error_bound < 0:
-            raise InvalidInputError("quad_error_bound must be nonnegative")
+        if not 0.0 <= self.quad_error_bound < math.inf:
+            raise InvalidInputError("quad_error_bound must be finite and nonnegative")
         try:
             bf = math.exp(self.log_bf)
         except OverflowError:

@@ -1,16 +1,24 @@
 """Marginal likelihoods and Bayes factors via the t-statistic reduction.
 
-Under the standardized-effect-size parametrization with the scale-invariant
-nuisance prior, the prior predictive density of the observed t statistic
-under a hypothesis H with prior pi(delta | H) is
+The prior predictive density of the observed t statistic under a hypothesis
+with effect-size prior pi(delta) is
 
-    p(t | H) = int f_nct(t; nu, sqrt(n_eff) * delta) pi(delta | H) d delta,
+    p(t) = int f_nct(t; nu, sqrt(n_eff) * delta) pi(delta) d delta.
 
-so every Bayes factor in this module is a ratio of one-dimensional integrals
-of the noncentral t density against the effect-size prior. All marginals are
-computed and combined in log space; adaptive quadrature (Gauss-Kronrod via
-QUADPACK) integrates the integrand rescaled by its maximum, and the reported
-error bound includes a rigorous bound on the truncated prior tail mass.
+Every prior except the truncated Cauchy is a normal scale mixture, and under
+delta ~ N(0, g) the ratio t / sqrt(1 + n_eff g) is central t. Hence:
+
+* point null and peri-null N(0, kappa0^2): closed-form scaled central t
+  (Goenen, Johnson, Lu & Westfall, Am. Stat. 2005), error bound 0;
+* Cauchy(0, kappa1), i.e. g ~ InvGamma(1/2, kappa1^2/2) (the JZS form of
+  Rouder et al., Psychon. Bull. Rev. 2009): a fixed-step trapezoid rule over
+  log g, bounded by the h-vs-2h gap plus the tails cut off by the grid;
+* peri-point mixture and shrinking peri-null: built from the above;
+* truncated Cauchy (interval null): adaptive Gauss-Kronrod quadrature over
+  delta, with a bound on the truncated prior tail mass.
+
+All marginals are computed in log space. :data:`VARIANTS` is the one table
+that maps each Bayes-factor variant to its priors.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .core import (
     TruncatedCauchy,
 )
 from .errors import DegeneratePriorError, InvalidInputError, QuadratureConvergenceError
-from .nct import noncentral_t_logpdf
+from .nct import central_t_logpdf, noncentral_t_logpdf
 
 __all__ = [
     "QuadratureConfig",
@@ -46,6 +54,8 @@ __all__ = [
     "interval_null_bf",
     "peri_point_bf",
     "shrinking_peri_null_bf",
+    "VARIANTS",
+    "variant_bf",
 ]
 
 
@@ -69,14 +79,10 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-
-def _gauss_log_prior(kappa):
-    log_norm = -0.5 * math.log(2.0 * math.pi) - math.log(kappa)
-
-    def log_prior(delta):
-        return log_norm - 0.5 * (delta / kappa) ** 2
-
-    return log_prior
+# step of the trapezoid rule over log g: the integrand is analytic and about
+# one unit wide in log g, so the rule converges to rounding level
+_G_STEP = 0.05
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _cauchy_log_prior(kappa):
@@ -149,135 +155,177 @@ def _integrate_interval(stats, log_prior, lo, hi, scale, cfg, breakpoints=()):
     return m + math.log(val), abserr / val, m, val
 
 
-def _endpoint_density(stats, delta):
-    return math.exp(noncentral_t_logpdf(stats.t, stats.nu,
-                                        math.sqrt(stats.n_eff) * delta))
-
-
-def _marginal_gauss(stats, kappa0, cfg):
-    halfwidth = cfg.domain_halfwidth_sd * kappa0
-    log_prior = _gauss_log_prior(kappa0)
-    pts = [-5.0 * kappa0, -kappa0, 0.0, kappa0, 5.0 * kappa0]
-    value, err_log, m, val = _integrate_interval(
-        stats, log_prior, -halfwidth, halfwidth, kappa0, cfg, pts)
-    # prior mass beyond the truncation, times the largest tail density
-    tail_mass = special.erfc(cfg.domain_halfwidth_sd / math.sqrt(2.0))
-    tail_density = max(_endpoint_density(stats, halfwidth),
-                       _endpoint_density(stats, -halfwidth))
-    err_log += tail_mass * tail_density / math.exp(m) / val
-    return value, err_log
-
-
-def _cauchy_hull(stats, kappa, cfg):
-    center = abs(stats.t) / math.sqrt(stats.n_eff)
-    w = _likelihood_width(stats)
-    return max(cfg.domain_halfwidth_sd * kappa,
-               center + cfg.domain_halfwidth_sd * max(w, kappa))
-
-
-def _marginal_cauchy(stats, kappa1, cfg):
-    halfwidth = _cauchy_hull(stats, kappa1, cfg)
-    log_prior = _cauchy_log_prior(kappa1)
-    center = stats.t / math.sqrt(stats.n_eff)
-    w = _likelihood_width(stats)
-    pts = [-5.0 * kappa1, -kappa1, 0.0, kappa1, 5.0 * kappa1,
-           center - 3.0 * w, center, center + 3.0 * w]
-    value, err_log, m, val = _integrate_interval(
-        stats, log_prior, -halfwidth, halfwidth, kappa1, cfg, pts)
-    # Cauchy tails decay slowly; the truncated mass is accounted for here
-    tail_mass = 2.0 / math.pi * math.atan(kappa1 / halfwidth)
-    tail_density = max(_endpoint_density(stats, halfwidth),
-                       _endpoint_density(stats, -halfwidth))
-    err_log += tail_mass * tail_density / math.exp(m) / val
-    return value, err_log
-
-
-def _cauchy_inside_log_mass(kappa, a):
-    return math.log(2.0 / math.pi * math.atan(a / kappa))
-
-
-def _cauchy_outside_log_mass(kappa, a):
-    # 1 - (2/pi) atan(a/k) == (2/pi) atan(k/a), stable for large a
-    mass = 2.0 / math.pi * math.atan(kappa / a)
-    if mass <= 0.0:
-        raise DegeneratePriorError("outside-interval prior mass underflows")
-    return math.log(mass)
-
-
 def _marginal_truncated_cauchy(stats, prior: TruncatedCauchy, cfg):
+    """Adaptive quadrature over delta on [-a, a], or on both sides beyond |a|.
+
+    A quadrature failure on one side still integrates the other; the error
+    then carries the normalized log-sum of both sides as its estimate.
+    """
     kappa, a = prior.kappa_e, prior.a
     log_prior = _cauchy_log_prior(kappa)
     center = stats.t / math.sqrt(stats.n_eff)
     w = _likelihood_width(stats)
+    near_peak = [center - 3.0 * w, center, center + 3.0 * w]
     if prior.inside:
-        pts = [-5.0 * kappa, -kappa, 0.0, kappa, 5.0 * kappa,
-               center - 3.0 * w, center, center + 3.0 * w]
-        value, err_log, _, _ = _integrate_interval(
-            stats, log_prior, -a, a, min(kappa, a), cfg, pts)
-        return value, err_log, _cauchy_inside_log_mass(kappa, a)
-
-    log_mass = _cauchy_outside_log_mass(kappa, a)
-    outer = max(a + cfg.domain_halfwidth_sd * kappa,
-                abs(center) + cfg.domain_halfwidth_sd * max(w, kappa))
-    sides = []
-    for lo, hi in ((a, outer), (-outer, -a)):
-        pts = [center - 3.0 * w, center, center + 3.0 * w]
+        log_mass = math.log(2.0 / math.pi * math.atan(a / kappa))
+        pts = [-5.0 * kappa, -kappa, 0.0, kappa, 5.0 * kappa] + near_peak
+        pieces = [(-a, a, min(kappa, a), pts, None)]
+    else:
+        # 1 - (2/pi) atan(a/k) == (2/pi) atan(k/a), stable for large a
+        mass = 2.0 / math.pi * math.atan(kappa / a)
+        if mass <= 0.0:
+            raise DegeneratePriorError("outside-interval prior mass underflows")
+        log_mass = math.log(mass)
+        outer = max(a + cfg.domain_halfwidth_sd * kappa,
+                    abs(center) + cfg.domain_halfwidth_sd * max(w, kappa))
+        pieces = [(a, outer, kappa, near_peak, outer),
+                  (-outer, -a, kappa, near_peak, -outer)]
+    values, errors, failure = [], [], None
+    for lo, hi, scale, pts, cut in pieces:
         try:
-            v, e, m, val = _integrate_interval(stats, log_prior, lo, hi, kappa, cfg, pts)
+            v, e, m, val = _integrate_interval(stats, log_prior, lo, hi, scale, cfg, pts)
+            if cut is not None:
+                # prior mass beyond the cut, times the density at the cut,
+                # relative to this side's integral
+                peak = math.exp(m)
+                if peak == 0.0:  # recorded as this side's failure below
+                    raise QuadratureConvergenceError(
+                        "tail-mass bound underflows beyond |a|",
+                        estimate=v, error_bound=math.inf)
+                tail_density = math.exp(noncentral_t_logpdf(
+                    stats.t, stats.nu, math.sqrt(stats.n_eff) * cut))
+                e += math.atan(kappa / abs(cut)) / math.pi * tail_density / peak / val
         except DegeneratePriorError:
             continue
-        tail_mass = math.atan(kappa / outer) / math.pi
-        tail_density = _endpoint_density(stats, hi if hi > 0 else lo)
-        e += tail_mass * tail_density / math.exp(m) / val
-        sides.append((v, e))
-    if not sides:
+        except QuadratureConvergenceError as exc:
+            v, e, failure = exc.estimate, exc.error_bound, exc
+        values.append(v)
+        errors.append(e)
+    if not values:
         raise DegeneratePriorError(
-            "outside-interval marginal underflows: no likelihood mass beyond |a|")
-    values = np.array([v for v, _ in sides])
-    value = float(special.logsumexp(values))
-    weights = np.exp(values - value)
-    err_log = float(np.sum(weights * np.array([e for _, e in sides])))
-    return value, err_log, log_mass
+            "truncated-Cauchy marginal underflows: no likelihood mass on the slice")
+    total = float(special.logsumexp(values))
+    weights = np.exp(np.array(values) - total)
+    err = float(sum(wt * e for wt, e in zip(weights, errors) if wt > 0.0))
+    if failure is not None:
+        raise QuadratureConvergenceError(str(failure), estimate=total - log_mass,
+                                         error_bound=err) from failure
+    return total - log_mass, err
+
+
+def _marginal_cauchy_g(stats, kappa1, cfg):
+    """Cauchy(0, kappa1) as N(0, g) with g ~ InvGamma(1/2, kappa1^2/2).
+
+    Given g, t / s is central t with s = sqrt(1 + n_eff g), so the marginal
+    is one integral over x = log g, done by the trapezoid rule. The bound is
+    the relative gap between the h and 2h sums plus the cut-off tails.
+    """
+    t, nu, n_eff = stats.t, stats.nu, stats.n_eff
+    log_k2 = 2.0 * math.log(kappa1)
+    # below lo the prior factor exp(-kappa1^2 / 2g) has died off; far past
+    # both the prior scale and the likelihood scale g ~ t^2 / n_eff the
+    # integrand decays like 1/g
+    lo = log_k2 - 6.0
+    hi = max(log_k2, 2.0 * math.log(math.hypot(t, 1.0)) - math.log(n_eff)) + 45.0
+    x = lo + _G_STEP * np.arange(2 * math.ceil((hi - lo) / (2.0 * _G_STEP)) + 1)
+    hi = float(x[-1])
+    log_s = 0.5 * np.log1p(n_eff * np.exp(x))
+    log_f = (math.log(kappa1) - _LOG_SQRT_2PI - 0.5 * x - 0.5 * kappa1 ** 2 * np.exp(-x)
+             - log_s + central_t_logpdf(t * np.exp(-log_s), nu))
+    m = float(log_f.max())
+    scaled = np.exp(log_f - m)
+    fine = float(scaled.sum()) * _G_STEP
+    coarse = float(scaled[::2].sum()) * 2.0 * _G_STEP
+    value = m + math.log(fine)
+    # the likelihood factor central_t(t / s) / s is at most c0 / s, c0 the
+    # central t mode; so the tail below lo is at most c0 P(g < e^lo), and
+    # the tail past hi at most c0 int p(g) / sqrt(n_eff g) dg over g > e^hi,
+    # which is below c0 kappa1 / (sqrt(2 pi n_eff) e^hi)
+    log_tail = central_t_logpdf(0.0, nu) + float(np.logaddexp(
+        math.log(2.0) + special.log_ndtr(-kappa1 * math.exp(-0.5 * lo)),
+        math.log(kappa1) - 0.5 * math.log(2.0 * math.pi * n_eff) - hi))
+    bound = abs(fine - coarse) / fine + math.exp(log_tail - value)
+    if not bound <= cfg.rel_tol:
+        raise QuadratureConvergenceError(
+            f"g-rule bound {bound:.3g} exceeds rel_tol {cfg.rel_tol:.3g}",
+            estimate=value, error_bound=bound)
+    return value, bound
 
 
 def marginal_loglik(stats: SummaryStats, prior: PriorSpec,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE):
     """Log prior-predictive density of the observed t under ``prior``.
 
-    Returns ``(log_marginal, error_bound)`` where the bound is the quadrature
-    error (plus truncated tail mass) expressed on the log scale. Raises
-    :class:`QuadratureConvergenceError` carrying the best estimate when the
-    adaptive rule cannot reach the requested tolerance.
+    Returns ``(log_marginal, error_bound)`` where the bound is the relative
+    error of the marginal (quadrature plus truncated tail mass), i.e. its
+    error on the log scale. Raises :class:`QuadratureConvergenceError`
+    carrying the best estimate when the bound exceeds the tolerance or the
+    adaptive rule cannot reach it.
     """
     if isinstance(prior, PointAtZero):
-        return noncentral_t_logpdf(stats.t, stats.nu, 0.0), 0.0
+        return central_t_logpdf(stats.t, stats.nu), 0.0
     if isinstance(prior, PeriNullNormal):
-        return _marginal_gauss(stats, prior.kappa0, cfg)
+        log_s = 0.5 * math.log1p(stats.n_eff * prior.kappa0 ** 2)
+        return central_t_logpdf(stats.t * math.exp(-log_s), stats.nu) - log_s, 0.0
     if isinstance(prior, AltCauchy):
-        return _marginal_cauchy(stats, prior.kappa1, cfg)
+        return _marginal_cauchy_g(stats, prior.kappa1, cfg)
     if isinstance(prior, TruncatedCauchy):
-        value, err, log_mass = _marginal_truncated_cauchy(stats, prior, cfg)
-        return value - log_mass, err
+        return _marginal_truncated_cauchy(stats, prior, cfg)
     if isinstance(prior, PeriPointMixture):
         lm_point, _ = marginal_loglik(stats, PointAtZero(), cfg)
-        lm_peri, err = marginal_loglik(stats, PeriNullNormal(prior.kappa0), cfg)
-        log_xi = math.log(prior.xi)
-        log_1mxi = math.log1p(-prior.xi)
-        value = float(np.logaddexp(log_xi + lm_point, log_1mxi + lm_peri))
-        weight_peri = math.exp(log_1mxi + lm_peri - value)
-        return value, err * weight_peri
+        lm_peri, _ = marginal_loglik(stats, PeriNullNormal(prior.kappa0), cfg)
+        return float(np.logaddexp(math.log(prior.xi) + lm_point,
+                                  math.log1p(-prior.xi) + lm_peri)), 0.0
     if isinstance(prior, ShrinkingPeriNull):
         return marginal_loglik(stats, prior.resolve(stats.n_total), cfg)
     raise InvalidInputError(f"unknown prior specification: {prior!r}")
+
+
+# variant -> (numerator prior, denominator prior, whether the BF carries the
+# point-null x correction decomposition); interval slices Cauchy(0, kappa1)
+VARIANTS = {
+    "point": lambda kappa1, **_: (AltCauchy(kappa1), PointAtZero(), False),
+    "peri": lambda kappa0, kappa1, **_: (AltCauchy(kappa1), PeriNullNormal(kappa0), True),
+    "interval": lambda kappa1, a, **_: (TruncatedCauchy(kappa1, a, inside=False),
+                                        TruncatedCauchy(kappa1, a, inside=True), False),
+    "peripoint": lambda xi, kappa0, kappa1, **_: (
+        AltCauchy(kappa1), PeriPointMixture(xi=xi, kappa0=kappa0), False),
+    "shrinking": lambda c, kappa1, **_: (AltCauchy(kappa1), ShrinkingPeriNull(c), True),
+}
+
+
+def variant_bf(variant: str, stats: SummaryStats,
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE, prior_odds: float = 1.0,
+               marginal=None, **params) -> BFResult:
+    """Bayes factor of one :data:`VARIANTS` entry.
+
+    ``params`` holds the prior parameters ``kappa0``, ``kappa1``, ``a``,
+    ``xi`` and ``c``; unused ones are ignored. ``marginal(prior)``, if
+    given, replaces :func:`marginal_loglik` so callers can share marginals
+    between variants. The decomposed components reuse the same marginals.
+    """
+    if variant not in VARIANTS:
+        raise InvalidInputError(f"unknown variant {variant!r}; choose from {sorted(VARIANTS)}")
+    numerator, denominator, decompose = VARIANTS[variant](**params)
+    if marginal is None:
+        def marginal(prior):
+            return marginal_loglik(stats, prior, cfg)
+    lm1, e1 = marginal(numerator)
+    lm_den, e_den = marginal(denominator)
+    if not decompose:
+        return BFResult(log_bf=lm1 - lm_den, prior_odds=prior_odds,
+                        quad_error_bound=e1 + e_den)
+    lm0, e0 = marginal(PointAtZero())
+    return BFResult(log_bf=lm1 - lm_den, prior_odds=prior_odds,
+                    quad_error_bound=e1 + e0 + e_den,
+                    point_null_log_bf=lm1 - lm0, correction_log_bf=lm0 - lm_den)
 
 
 def point_null_bf10(stats: SummaryStats, kappa1: float,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                     prior_odds: float = 1.0) -> BFResult:
     """BF of the Cauchy(0, kappa1) alternative against the point null."""
-    lm1, e1 = marginal_loglik(stats, AltCauchy(kappa1), cfg)
-    lm0, e0 = marginal_loglik(stats, PointAtZero(), cfg)
-    return BFResult(log_bf=lm1 - lm0, prior_odds=prior_odds, quad_error_bound=e1 + e0)
+    return variant_bf("point", stats, cfg, prior_odds, kappa1=kappa1)
 
 
 def peri_null_correction_bf(stats: SummaryStats, kappa0: float,
@@ -292,22 +340,9 @@ def peri_null_correction_bf(stats: SummaryStats, kappa0: float,
 def peri_null_bf(stats: SummaryStats, kappa0: float, kappa1: float,
                  cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                  prior_odds: float = 1.0) -> BFResult:
-    """BF of the alternative against the peri-null, with its decomposition.
-
-    The log BF is computed directly as a ratio of marginals; the two stored
-    components (point-null BF and correction factor) reuse the same three
-    marginals, so the product identity holds to within the summed bounds.
-    """
-    lm1, e1 = marginal_loglik(stats, AltCauchy(kappa1), cfg)
-    lm0, e0 = marginal_loglik(stats, PointAtZero(), cfg)
-    lmp, ep = marginal_loglik(stats, PeriNullNormal(kappa0), cfg)
-    return BFResult(
-        log_bf=lm1 - lmp,
-        prior_odds=prior_odds,
-        quad_error_bound=e1 + e0 + ep,
-        point_null_log_bf=lm1 - lm0,
-        correction_log_bf=lm0 - lmp,
-    )
+    """BF of the alternative against the peri-null, with its decomposition
+    into the point-null BF and the correction factor."""
+    return variant_bf("peri", stats, cfg, prior_odds, kappa0=kappa0, kappa1=kappa1)
 
 
 def interval_null_bf(stats: SummaryStats, kappa_e: float, a: float,
@@ -319,28 +354,19 @@ def interval_null_bf(stats: SummaryStats, kappa_e: float, a: float,
     Cauchy(0, kappa_e) prior: the null keeps |delta| <= a, the alternative
     keeps |delta| > a.
     """
-    outside = TruncatedCauchy(kappa_e=kappa_e, a=a, inside=False)
-    inside = TruncatedCauchy(kappa_e=kappa_e, a=a, inside=True)
-    lm_out, e_out = marginal_loglik(stats, outside, cfg)
-    lm_in, e_in = marginal_loglik(stats, inside, cfg)
-    return BFResult(log_bf=lm_out - lm_in, prior_odds=prior_odds,
-                    quad_error_bound=e_out + e_in)
+    return variant_bf("interval", stats, cfg, prior_odds, kappa1=kappa_e, a=a)
 
 
 def peri_point_bf(stats: SummaryStats, xi: float, kappa0: float, kappa1: float,
                   cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                   prior_odds: float = 1.0) -> BFResult:
     """BF of the alternative against the spike-and-slab peri-point null."""
-    mixture = PeriPointMixture(xi=xi, kappa0=kappa0)
-    lm1, e1 = marginal_loglik(stats, AltCauchy(kappa1), cfg)
-    lm_mix, e_mix = marginal_loglik(stats, mixture, cfg)
-    return BFResult(log_bf=lm1 - lm_mix, prior_odds=prior_odds,
-                    quad_error_bound=e1 + e_mix)
+    return variant_bf("peripoint", stats, cfg, prior_odds, xi=xi, kappa0=kappa0,
+                      kappa1=kappa1)
 
 
 def shrinking_peri_null_bf(stats: SummaryStats, c: float, kappa1: float,
                            cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                            prior_odds: float = 1.0) -> BFResult:
     """Peri-null BF with width kappa0 = c / sqrt(n_total) on the delta scale."""
-    kappa0 = ShrinkingPeriNull(c).resolve(stats.n_total).kappa0
-    return peri_null_bf(stats, kappa0, kappa1, cfg, prior_odds)
+    return variant_bf("shrinking", stats, cfg, prior_odds, c=c, kappa1=kappa1)

@@ -18,7 +18,7 @@ class UnsupportedOrderError(PeriNullError, ValueError):
 
 
 class QuadratureConvergenceError(PeriNullError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """A quadrature rule failed to reach the requested tolerance.
 
     Carries the best available estimate and its error bound so callers can
     decide whether to use the value anyway.

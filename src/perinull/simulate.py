@@ -21,14 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import sampling_distribution
-from .core import (
-    AltCauchy,
-    PeriNullNormal,
-    PointAtZero,
-    TruncatedCauchy,
-    ingest_one_sample,
-)
-from .engine import DEFAULT_QUADRATURE, QuadratureConfig, marginal_loglik
+from .core import ingest_one_sample
+from .engine import DEFAULT_QUADRATURE, QuadratureConfig, marginal_loglik, variant_bf
 from .errors import InvalidInputError, PeriNullError, SimulationError
 
 __all__ = [
@@ -119,30 +113,17 @@ def _cell_log_bfs(cfg: SimConfig, stats) -> np.ndarray:
     out = np.full(len(cfg.ordered_variants), np.nan)
     cache: dict = {}
 
-    def lm(prior) -> float:
-        key = repr(prior)
-        if key not in cache:
-            cache[key] = marginal_loglik(stats, prior, cfg.quadrature)[0]
-        return cache[key]
+    def lm(prior):
+        if prior not in cache:
+            cache[prior] = marginal_loglik(stats, prior, cfg.quadrature)
+        return cache[prior]
 
     for i, variant in enumerate(cfg.ordered_variants):
         try:
-            if variant is Variant.POINT_NULL:
-                out[i] = lm(AltCauchy(cfg.kappa1)) - lm(PointAtZero())
-            elif variant is Variant.PERI_NULL:
-                out[i] = lm(AltCauchy(cfg.kappa1)) - lm(PeriNullNormal(cfg.kappa0))
-            elif variant is Variant.INTERVAL_NULL:
-                a = cfg.interval_halfwidth
-                out[i] = (lm(TruncatedCauchy(cfg.kappa1, a, inside=False))
-                          - lm(TruncatedCauchy(cfg.kappa1, a, inside=True)))
-            elif variant is Variant.PERI_POINT:
-                xi = cfg.mixture_weight
-                mix = np.logaddexp(math.log(xi) + lm(PointAtZero()),
-                                   math.log1p(-xi) + lm(PeriNullNormal(cfg.kappa0)))
-                out[i] = lm(AltCauchy(cfg.kappa1)) - mix
-            elif variant is Variant.SHRINKING:
-                kappa0 = cfg.shrink_constant / math.sqrt(stats.n_total)
-                out[i] = lm(AltCauchy(cfg.kappa1)) - lm(PeriNullNormal(kappa0))
+            out[i] = variant_bf(variant.value, stats, marginal=lm,
+                                kappa0=cfg.kappa0, kappa1=cfg.kappa1,
+                                a=cfg.interval_halfwidth, xi=cfg.mixture_weight,
+                                c=cfg.shrink_constant).log_bf
         except PeriNullError:
             out[i] = np.nan
     return out

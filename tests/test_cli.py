@@ -83,6 +83,13 @@ class TestBfCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_interval_tail_underflow_exits_numerical(self, capsys):
+        code, _, err = run_cli(capsys, "bf", "--variant", "interval", "--t", "1",
+                               "--n", "200000", "--kappa1", "0.7071", "--a", "0.1")
+        assert code == 3
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
 
 class TestAsymptoticsCommand:
     def test_single_point_values(self, capsys):
@@ -161,6 +168,15 @@ class TestSimulateCommand:
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 31337
+
+    @pytest.mark.parametrize("value", ["abc", "-1", str(2 ** 64), "1.5"])
+    def test_invalid_environment_seed_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PERINULL_SEED", value)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1",
+                  "--ngrid", "50:50:1", "--reps", "1"])
+        assert info.value.code == 2
+        assert "PERINULL_SEED" in capsys.readouterr().err
 
     def test_stdout_mode(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--mu", "0", "--kappa0", "0.05",

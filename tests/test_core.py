@@ -141,5 +141,6 @@ class TestBFResult:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             BFResult(log_bf=0.0, prior_odds=0.0)
-        with pytest.raises(InvalidInputError):
-            BFResult(log_bf=0.0, quad_error_bound=-1.0)
+        for bad_bound in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                BFResult(log_bf=0.0, quad_error_bound=bad_bound)

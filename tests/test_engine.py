@@ -4,6 +4,7 @@ consistency-fix variants."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ import perinull as pn
 from perinull import (
     AltCauchy,
     DegeneratePriorError,
+    PeriNullError,
     PeriNullNormal,
     PointAtZero,
     QuadratureConfig,
@@ -27,6 +29,63 @@ def _with_t(stats, t):
     import dataclasses
 
     return dataclasses.replace(stats, t=t)
+
+
+def _mp_scaled_t_logml(t, n, g):
+    """log p(t) under delta ~ N(0, g), one-sample: t / s is central t with
+    s = sqrt(1 + n g); g = 0 is the point null."""
+    nu = n - 1
+    s2 = 1 + n * g
+    return (mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2) - mp.log(nu * mp.pi) / 2
+            - mp.log(s2) / 2 - (nu + 1) / 2 * mp.log1p(t * t / (s2 * nu)))
+
+
+def _mp_cauchy_logml(t, n, kappa):
+    """log p(t) under Cauchy(0, kappa), as N(0, g) with g ~ InvGamma(1/2,
+    kappa^2/2), integrated over x = log g with breakpoints around the prior
+    and likelihood scales."""
+    def integrand(x):
+        g = mp.exp(x)
+        return mp.exp(mp.log(kappa) - mp.log(2 * mp.pi) / 2 - x / 2 - kappa ** 2 / (2 * g)
+                      + _mp_scaled_t_logml(t, n, g))
+
+    prior_x, lik_x = 2 * mp.log(kappa), mp.log((t * t + 1) / n)
+    top = max(prior_x, lik_x)
+    points = sorted({prior_x - 12, prior_x - 3, prior_x, lik_x,
+                     top + 3, top + 10, top + 30, top + 80})
+    return mp.log(mp.quad(integrand, points))
+
+
+@pytest.mark.parametrize("kind, t, n, params, expected", [
+    ("cauchy", 20.0, 100_000, {"kappa1": 20.0}, -9.896937417),
+    ("cauchy", 8.0, 1_000_000, {"kappa1": 10.0}, -10.355071158),
+    ("cauchy", -5.524885480029566, 120_769, {"kappa1": 5.0}, -8.604997764),
+    ("peri", 40.0, 1_000_000, {"kappa0": 1e-6}, None),
+    ("shrinking", 40.0, 20_000, {"c": 1.0, "kappa1": 1.0}, 387.3184049),
+    ("shrinking", 60.0, 30_000, {"c": 1.0, "kappa1": 1.0}, 868.9148821),
+])
+def test_mixture_marginals_match_mpmath(kind, t, n, params, expected):
+    """Cells where adaptive quadrature over delta was wrong while reporting a
+    tiny (or NaN) bound; references come from mpmath at 30 digits."""
+    stats = ingest_one_sample(t, n)
+    with mp.workdps(30):
+        mt, mn = mp.mpf(t), mp.mpf(n)
+        if kind == "cauchy":
+            value, bound = marginal_loglik(stats, AltCauchy(params["kappa1"]))
+            reference = _mp_cauchy_logml(mt, mn, mp.mpf(params["kappa1"]))
+        elif kind == "peri":
+            value, bound = marginal_loglik(stats, PeriNullNormal(params["kappa0"]))
+            reference = _mp_scaled_t_logml(mt, mn, mp.mpf(params["kappa0"]) ** 2)
+        else:
+            result = pn.shrinking_peri_null_bf(stats, params["c"], params["kappa1"])
+            value, bound = result.log_bf, result.quad_error_bound
+            reference = (_mp_cauchy_logml(mt, mn, mp.mpf(params["kappa1"]))
+                         - _mp_scaled_t_logml(mt, mn, mp.mpf(params["c"]) ** 2 / mn))
+        reference = float(reference)
+    assert math.isfinite(bound) and bound >= 0.0
+    assert abs(value - reference) <= 1e-9 + bound
+    if expected is not None:
+        assert abs(reference - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 class TestMarginalLoglik:
@@ -77,13 +136,32 @@ class TestMarginalLoglik:
                 f"instance {i}: quad {math.exp(value)} vs MC {mc_mean} +- {mc_se}")
 
     def test_convergence_error_carries_estimate(self, worked_example_stats):
+        """The estimate is the normalized marginal over both slices, not one
+        unnormalized side."""
         starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=3)
+        outside = TruncatedCauchy(0.7071, 0.5, inside=False)
         with pytest.raises(QuadratureConvergenceError) as info:
-            marginal_loglik(worked_example_stats, AltCauchy(K1_DEFAULT), starved)
-        good, _ = marginal_loglik(worked_example_stats, AltCauchy(K1_DEFAULT))
+            marginal_loglik(worked_example_stats, outside, starved)
+        good, _ = marginal_loglik(worked_example_stats, outside)
         assert math.isfinite(info.value.estimate)
         assert info.value.error_bound > 0
         assert abs(info.value.estimate - good) < 1e-2
+
+    def test_g_rule_bound_above_tolerance_raises_with_estimate(self, worked_example_stats):
+        prior = AltCauchy(K1_DEFAULT)
+        with pytest.raises(QuadratureConvergenceError) as info:
+            marginal_loglik(worked_example_stats, prior, QuadratureConfig(rel_tol=1e-30))
+        good, bound = marginal_loglik(worked_example_stats, prior)
+        assert info.value.estimate == good
+        assert info.value.error_bound == bound > 1e-30
+
+    def test_inside_slice_convergence_error_is_normalized(self, worked_example_stats):
+        starved = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+        inside = TruncatedCauchy(0.7071, 0.5, inside=True)
+        with pytest.raises(QuadratureConvergenceError) as info:
+            marginal_loglik(worked_example_stats, inside, starved)
+        good, _ = marginal_loglik(worked_example_stats, inside)
+        assert abs(info.value.estimate - good) < 1e-6
 
 
 class TestWorkedExample:
@@ -208,6 +286,13 @@ class TestIntervalNull:
         recombined = np.logaddexp(math.log(mass_in) + lm_in,
                                   math.log1p(-mass_in) + lm_out)
         assert abs(recombined - lm_full) <= 10.0 * bound + 1e-10
+
+    def test_underflowing_tail_bound_raises(self):
+        """At n = 2e5 and a = 0.1 the outside slice's density underflows; the
+        route refuses rather than dividing by zero."""
+        stats = ingest_one_sample(1.0, 200_000)
+        with pytest.raises(PeriNullError):
+            pn.interval_null_bf(stats, 0.7071, 0.1)
 
     def test_degenerate_when_outside_slice_is_empty(self):
         stats = ingest_one_sample(0.0, 100)
