@@ -59,8 +59,9 @@ asymptotic_theory_tour.py and inconsistency_curves.py.
 
 # The decomposition is exact up to rounding: the point-null and peri-null
 # marginals are closed-form scaled t densities, and the Cauchy marginal (a
-# trapezoid rule over log g) is shared by both factors. Only the interval
-# null still uses adaptive quadrature.
+# trapezoid rule over log g) is shared by both factors. Every marginal,
+# the interval null's slices included, is closed form or a fixed trapezoid
+# rule.
 peri = pn.peri_null_bf(stats, 0.05, KAPPA1)
 residual = peri.log_bf - (peri.point_null_log_bf + peri.correction_log_bf)
 print(f"decomposition residual (log scale): {residual:.2e} "

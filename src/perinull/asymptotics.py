@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .core import ParamPoint
 from .errors import InvalidInputError
@@ -211,9 +211,9 @@ class LogBfDistribution:
         if not self.usable:
             return math.nan
         if self.regime is Regime.FIRST_ORDER_NORMAL:
-            return self.center + self.sd * sps.norm.ppf(q)
+            return self.center + self.sd * special.ndtri(q)
         level = q if self.chi2_scale >= 0 else 1.0 - q
-        return self.center + self.chi2_scale * sps.chi2.ppf(level, df=1)
+        return self.center + self.chi2_scale * 2.0 * special.gammaincinv(0.5, level)
 
 
 def sampling_distribution(mu: float, sigma: float, kappa0: float, kappa1: float,

@@ -304,13 +304,17 @@ def _cmd_simulate(args, parser) -> int:
         csv_path = os.path.join(args.out, "curves.csv")
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        _write_manifest(os.path.join(args.out, "manifest.json"), _manifest(
-            "simulate", {
-                "mu": args.mu, "sigma": args.sigma, "kappa0": args.kappa0,
-                "kappa1": args.kappa1, "ngrid": args.ngrid, "reps": args.reps,
-                "variants": args.variants, "workers": args.workers,
-                "nested": not args.independent,
-            }, seed=args.seed))
+        manifest = _manifest("simulate", {
+            "mu": args.mu, "sigma": args.sigma, "kappa0": args.kappa0,
+            "kappa1": args.kappa1, "ngrid": args.ngrid, "reps": args.reps,
+            "variants": args.variants, "workers": args.workers,
+            "nested": not args.independent,
+        }, seed=args.seed)
+        # replications whose log BF could not be computed, per variant
+        manifest["failed_cells"] = {
+            v.value: sum(c.n_failed for c in result.cells if c.variant is v)
+            for v in cfg.ordered_variants}
+        _write_manifest(os.path.join(args.out, "manifest.json"), manifest)
         if args.emit_plotscript:
             script_path = os.path.join(args.out, "plot_curves.py")
             with open(script_path, "w", encoding="utf-8", newline="\n") as fh:

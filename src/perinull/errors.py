@@ -18,10 +18,12 @@ class UnsupportedOrderError(PeriNullError, ValueError):
 
 
 class QuadratureConvergenceError(PeriNullError, RuntimeError):
-    """A quadrature rule failed to reach the requested tolerance.
+    """A trapezoid rule's error bound exceeds the requested tolerance.
 
-    Carries the best available estimate and its error bound so callers can
-    decide whether to use the value anyway.
+    Every marginal is closed form or a fixed-step trapezoid rule; this is
+    raised when a rule's bound (h-vs-2h gap plus cut-off tails) exceeds
+    ``QuadratureConfig.rel_tol``. Carries the estimate and its error bound
+    so callers can decide whether to use the value anyway.
     """
 
     def __init__(self, message, estimate, error_bound):

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 from scipy import integrate, special, stats as sps
 
 from perinull import Design, SummaryStats
+
+# property tests draw the same examples on every run, so Tier-1 stays
+# deterministic; each example costs tens of milliseconds
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=40,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perinull
 from perinull.cli import main
 
 
@@ -83,11 +87,12 @@ class TestBfCommand:
         assert code == 3
         assert "numerical failure" in err
 
-    def test_interval_tail_underflow_exits_numerical(self, capsys):
-        code, _, err = run_cli(capsys, "bf", "--variant", "interval", "--t", "1",
-                               "--n", "200000", "--kappa1", "0.7071", "--a", "0.1")
-        assert code == 3
-        assert "numerical failure" in err
+    def test_interval_outside_slice_beyond_exp_underflow_computes(self, capsys):
+        code, out, err = run_cli(capsys, "bf", "--variant", "interval", "--t", "1",
+                                 "--n", "200000", "--kappa1", "0.7071", "--a", "0.1",
+                                 "--json")
+        assert code == 0
+        assert abs(json.loads(out)["log_bf"] - (-962.8138)) < 1e-4
         assert "Traceback" not in err
 
 
@@ -157,6 +162,7 @@ class TestSimulateCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["parameters"]["reps"] == 2
+        assert manifest["failed_cells"] == {"point": 0, "peri": 0}
         assert (out_dir / "plot_curves.py").exists()
 
     def test_environment_seed_default(self, capsys, tmp_path, monkeypatch):
@@ -263,3 +269,15 @@ class TestConfigFile:
             main(["asymptotics", "--config", str(config), "--mu", "0",
                   "--kappa0", "0.05", "--kappa1", "1"])
         assert info.value.code == 2
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    """A cold ``perinull`` process pays only for numpy and scipy.special."""
+    src = str(Path(perinull.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, perinull.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import perinull as pn
 from perinull import (
@@ -88,6 +89,84 @@ def test_mixture_marginals_match_mpmath(kind, t, n, params, expected):
         assert abs(reference - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
+def _mp_nct_pdf(x, nu, ncp):
+    """Noncentral t density in Kummer's-function form, independent of the
+    package's series and of the normal scale-mixture route."""
+    r2 = nu + x * x
+    z = ncp * ncp * x * x / (2 * r2)
+    front = mp.exp(nu / 2 * mp.log(nu) + mp.loggamma(nu + 1) - ncp * ncp / 2
+                   - nu * mp.log(2) - nu / 2 * mp.log(r2) - mp.loggamma(nu / 2))
+    odd = (mp.sqrt(2) * ncp * x / r2 * mp.hyp1f1(nu / 2 + 1, mp.mpf(3) / 2, z)
+           / mp.gamma((nu + 1) / 2))
+    even = mp.hyp1f1((nu + 1) / 2, mp.mpf(1) / 2, z) / (mp.sqrt(r2) * mp.gamma(nu / 2 + 1))
+    return front * (odd + even)
+
+
+def _mp_slice_logml(n, t, kappa, a, inside):
+    """log marginal of a one-sample t under Cauchy(0, kappa) restricted to
+    |delta| <= a or |delta| > a, by mpmath quadrature over delta.
+
+    Breakpoints: 0, +-a, the likelihood centre t / sqrt(n) and multiples of
+    its width 1 / sqrt(n) around it, and geometric steps away from +-a in
+    units of the likelihood's decay length there. Beyond 80 widths past
+    max(a, |centre|) the likelihood has fallen by more than e^-3000.
+    """
+    t, n, kappa, a = mp.mpf(t), mp.mpf(n), mp.mpf(kappa), mp.mpf(a)
+    c = mp.sqrt(n)
+
+    def integrand(d):
+        return _mp_nct_pdf(t, n - 1, c * d) * kappa / (mp.pi * (d * d + kappa * kappa))
+
+    centre, width = t / c, 1 / c
+    decay = width / max(1, abs(c * a - abs(t)))
+    far = max(a, abs(centre)) + 80 * width
+    points = {0, centre} | {centre + k * width for k in
+                            (-40, -20, -10, -5, -3, -2, -1, -0.5, 0.5, 1, 2, 3, 5, 10, 20, 40)}
+    points |= {e + s * decay * 2 ** k for e in (-a, a) for s in (-1, 1) for k in range(-3, 16)}
+    if inside:
+        pieces = [(-a, a)]
+        mass = 2 / mp.pi * mp.atan(a / kappa)
+    else:
+        pieces = [(a, far), (-far, -a)]
+        mass = 2 / mp.pi * mp.atan(kappa / a)
+    total = sum(mp.quad(integrand, sorted({p for p in points | {lo, hi} if lo <= p <= hi}))
+                for lo, hi in pieces)
+    return mp.log(total) - mp.log(mass)
+
+
+# (n, t, kappa, a) -> log marginals of the inside and outside slices, from
+# _mp_slice_logml at 30 digits (0.5 to 70 s per cell, so pinned; the first
+# cell is recomputed): the eight interval cells of ROADMAP item 3 (wrong
+# values, crashes, a false refusal, a wrong value with a tiny bound) and two
+# uncapped draws of perfbench/defects.py
+INTERVAL_REFERENCES = [
+    ((50_000, 1.0, 0.7071, 0.1), -3.7939265064072097, -238.25382774623092),
+    ((100_000, 1.0, 0.7071, 0.1), -4.1404576048422488, -479.69730650229087),
+    ((20_000, 0.5, 0.7071, 0.1), -3.3358336173127868, -102.26687900278941),
+    ((200_000, 1.0, 0.7071, 0.1), -4.4870099469695687, -967.30080526483610),
+    ((10_000, 0.0, 1.0, 0.5), -4.5298118654059595, -1259.7616477647969),
+    ((10_000, 1.5, 1.0, 0.5), -4.5300367502017476, -1186.4150205374488),
+    ((400_000, 1.0, 0.7071, 0.1), -4.8335729126155244, -1949.4761446036835),
+    ((10_000, 16.7, 1.0, 0.1), -27.977337068624386, -5.7119680634513016),
+    ((15_909, 13.909, 1.4142, 0.1), -5.5521951328758917, -6.3921984425228841),
+    ((478_344, 14.623, 1.0, 0.5), -6.4640089462523972, -54845.105932909795),
+]
+
+
+@pytest.mark.parametrize("cell, inside_ref, outside_ref", INTERVAL_REFERENCES)
+def test_interval_slices_match_mpmath(cell, inside_ref, outside_ref):
+    n, t, kappa, a = cell
+    stats = ingest_one_sample(t, n)
+    for inside, reference in ((True, inside_ref), (False, outside_ref)):
+        value, bound = marginal_loglik(stats, TruncatedCauchy(kappa, a, inside=inside))
+        assert math.isfinite(bound) and bound >= 0.0
+        assert abs(value - reference) <= 1e-9 + bound
+        if cell == INTERVAL_REFERENCES[0][0]:
+            with mp.workdps(30):
+                recomputed = float(_mp_slice_logml(n, t, kappa, a, inside))
+            assert abs(recomputed - reference) <= 1e-12
+
+
 class TestMarginalLoglik:
     def test_point_prior_is_exact_central_density(self, worked_example_stats):
         value, bound = marginal_loglik(worked_example_stats, PointAtZero())
@@ -102,9 +181,11 @@ class TestMarginalLoglik:
         assert abs(lm_tiny - lm_point) < 1e-9
 
     def test_reported_error_bound_is_honest(self, worked_example_stats):
-        loose = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
-        tight = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
-        for prior in (AltCauchy(K1_DEFAULT), PeriNullNormal(0.05)):
+        loose = QuadratureConfig(rel_tol=1e-6)
+        tight = QuadratureConfig(rel_tol=1e-11)
+        for prior in (AltCauchy(K1_DEFAULT), PeriNullNormal(0.05),
+                      TruncatedCauchy(K1_DEFAULT, 0.5, inside=True),
+                      TruncatedCauchy(K1_DEFAULT, 0.5, inside=False)):
             v_loose, b_loose = marginal_loglik(worked_example_stats, prior, loose)
             v_tight, _ = marginal_loglik(worked_example_stats, prior, tight)
             assert abs(v_loose - v_tight) <= max(b_loose, 1e-12)
@@ -138,7 +219,7 @@ class TestMarginalLoglik:
     def test_convergence_error_carries_estimate(self, worked_example_stats):
         """The estimate is the normalized marginal over both slices, not one
         unnormalized side."""
-        starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=3)
+        starved = QuadratureConfig(rel_tol=1e-30)
         outside = TruncatedCauchy(0.7071, 0.5, inside=False)
         with pytest.raises(QuadratureConvergenceError) as info:
             marginal_loglik(worked_example_stats, outside, starved)
@@ -156,7 +237,7 @@ class TestMarginalLoglik:
         assert info.value.error_bound == bound > 1e-30
 
     def test_inside_slice_convergence_error_is_normalized(self, worked_example_stats):
-        starved = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+        starved = QuadratureConfig(rel_tol=1e-30)
         inside = TruncatedCauchy(0.7071, 0.5, inside=True)
         with pytest.raises(QuadratureConvergenceError) as info:
             marginal_loglik(worked_example_stats, inside, starved)
@@ -287,17 +368,61 @@ class TestIntervalNull:
                                   math.log1p(-mass_in) + lm_out)
         assert abs(recombined - lm_full) <= 10.0 * bound + 1e-10
 
-    def test_underflowing_tail_bound_raises(self):
-        """At n = 2e5 and a = 0.1 the outside slice's density underflows; the
-        route refuses rather than dividing by zero."""
+    def test_outside_slice_beyond_exp_underflow_computes(self):
+        """At n = 2e5 and a = 0.1 the outside slice's density is about
+        e^-967, below what exp can represent; the log-space rule computes it."""
         stats = ingest_one_sample(1.0, 200_000)
-        with pytest.raises(PeriNullError):
-            pn.interval_null_bf(stats, 0.7071, 0.1)
+        result = pn.interval_null_bf(stats, 0.7071, 0.1)
+        assert abs(result.log_bf - (-962.8138)) < 1e-4
+        assert 0.0 <= result.quad_error_bound <= 1e-8
 
     def test_degenerate_when_outside_slice_is_empty(self):
         stats = ingest_one_sample(0.0, 100)
         with pytest.raises(DegeneratePriorError):
             pn.interval_null_bf(stats, K1_DEFAULT, 1e9)
+
+
+# the interval route's input domain for the property tests
+INTERVAL_CELLS = dict(t=st.floats(-40.0, 40.0), n=st.integers(2, 10 ** 6),
+                      kappa=st.floats(0.1, 5.0), a=st.floats(0.01, 2.0))
+
+
+class TestIntervalProperties:
+    @given(**INTERVAL_CELLS)
+    def test_bound_is_finite_or_the_call_refuses(self, t, n, kappa, a):
+        stats = ingest_one_sample(t, n)
+        for inside in (True, False):
+            try:
+                value, bound = marginal_loglik(stats, TruncatedCauchy(kappa, a, inside=inside))
+            except PeriNullError:
+                continue
+            assert math.isfinite(value)
+            assert math.isfinite(bound) and 0.0 <= bound <= 1e-8
+
+    @given(**INTERVAL_CELLS)
+    def test_log_bf_is_even_in_t(self, t, n, kappa, a):
+        try:
+            pos = pn.interval_null_bf(ingest_one_sample(t, n), kappa, a)
+        except PeriNullError:
+            with pytest.raises(PeriNullError):
+                pn.interval_null_bf(ingest_one_sample(-t, n), kappa, a)
+            return
+        neg = pn.interval_null_bf(ingest_one_sample(-t, n), kappa, a)
+        assert neg.log_bf == pos.log_bf
+        assert neg.quad_error_bound == pos.quad_error_bound
+
+    @given(**INTERVAL_CELLS)
+    def test_slices_recombine_to_the_cauchy_marginal(self, t, n, kappa, a):
+        stats = ingest_one_sample(t, n)
+        try:
+            lm_in, b_in = marginal_loglik(stats, TruncatedCauchy(kappa, a, inside=True))
+            lm_out, b_out = marginal_loglik(stats, TruncatedCauchy(kappa, a, inside=False))
+        except PeriNullError:
+            return
+        lm_full, b_full = marginal_loglik(stats, AltCauchy(kappa))
+        recombined = np.logaddexp(math.log(2.0 / math.pi * math.atan(a / kappa)) + lm_in,
+                                  math.log(2.0 / math.pi * math.atan(kappa / a)) + lm_out)
+        assert abs(recombined - lm_full) <= b_in + b_out + b_full
 
 
 class TestPeriPointMixture:

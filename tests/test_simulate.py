@@ -102,6 +102,14 @@ class TestCurveBehavior:
             assert math.isfinite(cell.mean_log_bf)
             assert cell.n_failed == 0
 
+    def test_interval_variant_at_paper_scale_sizes(self):
+        """n = 1e4 is on the paper-scale grid; the interval cells compute."""
+        cfg = SimConfig(mu=0.0, sigma=1.0, kappa0=0.05, kappa1=1.0,
+                        n_grid=(5000, 10000), replications=1, seed=1,
+                        variants=frozenset({Variant.INTERVAL_NULL}), interval_halfwidth=0.5)
+        result = run_simulation(cfg)
+        assert [cell.n_failed for cell in result.cells] == [0, 0]
+
     def test_keep_samples(self):
         cfg = small_config(keep_samples=True, replications=4)
         result = run_simulation(cfg)
