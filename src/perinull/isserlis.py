@@ -1,16 +1,15 @@
-"""Gaussian moment tensors via pair-partition (Wick) enumeration.
+"""Gaussian moment tensors of a centered multivariate normal.
 
-Even-order moments of a centered multivariate normal factor into sums over
-pair partitions of products of covariances; an order-w component is a sum of
-(w-1)!! terms. Orders up to 12 are supported, which is what the second-order
-Laplace correction consumes. Distinct sorted index tuples are memoized, so
-the order-12 table for p = 2 costs 13 enumerations rather than 4096.
+Even-order moments factor into sums over pair partitions of products of
+covariances (Isserlis' theorem); an order-w component is a sum of (w-1)!!
+terms. Orders up to 12 are supported, which is what the second-order Laplace
+correction consumes. :func:`isserlis_moment` enumerates the pairings of one
+component; :meth:`MomentTable.dense` builds whole tensors by the recursion
+M(w)[i1..iw] = sum_j cov[i1, ij] M(w-2)[i2..iw without ij].
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -83,11 +82,10 @@ def isserlis_moment(indices: Sequence[int], covariance) -> float:
 
 
 class MomentTable:
-    """Cached even-order moment tensors of N(0, covariance).
+    """Even-order moment tensors of N(0, covariance).
 
-    ``dense(order)`` materializes the full symmetric array for contraction;
-    components are computed once per distinct sorted multi-index. Instances
-    are safe for concurrent reads; the cache is guarded by a lock.
+    ``dense(order)`` materializes the full symmetric array for contraction,
+    once per order; the arrays are read-only.
     """
 
     def __init__(self, covariance):
@@ -96,32 +94,25 @@ class MomentTable:
         if sign <= 0:
             raise InvalidInputError("covariance must be positive definite")
         self.dim = self.covariance.shape[0]
-        self._component_cache: dict[tuple, float] = {}
-        self._dense_cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
+        self._dense_cache: dict[int, np.ndarray] = {0: np.array(1.0)}
 
     def component(self, indices: Sequence[int]) -> float:
-        key = tuple(sorted(int(i) for i in indices))
-        with self._lock:
-            cached = self._component_cache.get(key)
-        if cached is None:
-            cached = isserlis_moment(key, self.covariance)
-            with self._lock:
-                self._component_cache[key] = cached
-        return cached
+        # public API; perfbench/spans.py also wraps it by attribute
+        return isserlis_moment(indices, self.covariance)
 
     def dense(self, order: int) -> np.ndarray:
         if order % 2 or order < 2 or order > MAX_ORDER:
             raise UnsupportedOrderError(
                 f"dense moment arrays exist for even orders 2..{MAX_ORDER}")
-        with self._lock:
-            cached = self._dense_cache.get(order)
-        if cached is not None:
-            return cached
-        out = np.empty((self.dim,) * order)
-        for idx in itertools.product(range(self.dim), repeat=order):
-            out[idx] = self.component(idx)
-        out.setflags(write=False)
-        with self._lock:
-            self._dense_cache[order] = out
-        return out
+        return self._moments(order)
+
+    def _moments(self, order: int) -> np.ndarray:
+        cached = self._dense_cache.get(order)
+        if cached is None:
+            # axis 0 of cov pairs with the first index; its axis 1 moves to
+            # each other slot j in turn, leaving M(order-2) on the rest
+            outer = np.multiply.outer(self.covariance, self._moments(order - 2))
+            cached = sum(np.moveaxis(outer, 1, j) for j in range(1, order))
+            cached.setflags(write=False)
+            self._dense_cache[order] = cached
+        return cached

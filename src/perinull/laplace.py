@@ -14,9 +14,9 @@ full contractions of the Taylor tensors of h (orders 3..6) and pi (orders
          + h_abc h_def S6 / 72
 
 and the five-group order-12 analogue for C2 (see ``laplace_c2``). Tensors are
-dense symmetric ndarrays; contractions are Einstein sums against the cached
+dense symmetric ndarrays; contractions are Einstein sums against the
 :class:`~perinull.isserlis.MomentTable` arrays. Dimensions up to p = 3 are
-supported, which keeps the order-12 enumeration tractable.
+supported: the dense order-12 moment tensor has p^12 entries, 134 MB at p = 4.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def _check_symmetric(arr: np.ndarray, order: int, dim: int, what: str) -> np.nda
     if arr.shape != (dim,) * order:
         raise InvalidInputError(f"{what} derivative array of order {order} has wrong shape")
     scale = np.max(np.abs(arr)) or 1.0
-    for perm in itertools.permutations(range(order)):
-        if not np.allclose(arr, np.transpose(arr, perm), rtol=1e-8, atol=1e-10 * scale):
-            raise InvalidInputError(f"{what} derivative array of order {order} is not symmetric")
+    transposes = np.stack([np.transpose(arr, perm)
+                           for perm in itertools.permutations(range(order))])
+    if not np.allclose(arr, transposes, rtol=1e-8, atol=1e-10 * scale):
+        raise InvalidInputError(f"{what} derivative array of order {order} is not symmetric")
     return arr
 
 

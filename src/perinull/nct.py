@@ -18,10 +18,12 @@ composite Gauss-Legendre panels; see :func:`_log_g_ratio`); the same route is
 used for very large positive z where the series would need millions of terms.
 Scalar and array arguments take the same vectorized path.
 
-Accuracy: 12+ significant digits of the log density across |ncp| <= 300 and
-nu <= 1e5, degrading to ~10 digits only in the extreme joint corner
-|x * ncp| >~ 1e4 with small nu (series length ~1e5, where rounding in the
-chain accumulates).
+Accuracy (relative error of the log density against 30-digit mpmath
+quadrature of the scale mixture): below 3e-15 at series-branch spot checks
+up to nu = 1e5, degrading to ~10 digits in the corner |x * ncp| >~ 1e4 with
+small nu (series length ~1e5). The integral branch rounds the O(nu log nu)
+terms of its exponent m log v - v^4/2: noncentral_t_logpdf(0.3, nu, -0.1) is
+off by 5.2e-13, 1.5e-12 and 3.3e-11 at nu = 1e3, 1e4 and 1e5.
 """
 
 from __future__ import annotations
@@ -152,20 +154,24 @@ def _logpdf_vector(x: np.ndarray, nu: float, ncp: np.ndarray) -> np.ndarray:
     series_mask = (z > 0.0) & (z <= _Z_SERIES_MAX)
     if series_mask.any():
         zs = z[series_mask]
-        kmax = _series_pair_count(float(zs.max()), nu)
-        even, odd = _chains(nu, kmax)
+        rank = np.argsort(zs)
+        zs = zs[rank]
+        even, odd = _chains(nu, _series_pair_count(float(zs[-1]), nu))
         log_poch = _log_gamma_half_ratio(0.5 * (nu + 1.0))
         results = np.empty(zs.shape)
-        # chunked so the (chunk, kmax) term matrices stay small
+        # chunked so the (chunk, kmax) term matrices stay small; sorted so
+        # each chunk's series length follows its own largest z
         for start in range(0, len(zs), 4096):
-            logz = np.log(zs[start:start + 4096])[:, None]
+            chunk = zs[start:start + 4096]
+            kmax = _series_pair_count(float(chunk[-1]), nu)
+            logz = np.log(chunk)[:, None]
             ks = 2.0 * np.arange(kmax) * logz
-            le = even + ks
-            lo = odd + ks + (log_poch + logz)
+            le = even[:kmax] + ks
+            lo = odd[:kmax] + ks + (log_poch + logz)
             m = np.maximum(le.max(axis=1), lo.max(axis=1))
             total = (np.exp(le - m[:, None]).sum(axis=1)
                      + np.exp(lo - m[:, None]).sum(axis=1))
-            results[start:start + 4096] = m + np.log(total)
+            results[rank[start:start + 4096]] = m + np.log(total)
         out[series_mask] += results
 
     quad_mask = (z != 0.0) & ~series_mask

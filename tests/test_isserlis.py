@@ -112,14 +112,30 @@ class TestIsserlisMoment:
 
 class TestMomentTable:
     def test_dense_matches_componentwise(self):
+        """Every even order 2..12 for p = 1, 2, 3 against the pairing
+        enumeration, with non-diagonal covariances. Entries with cancellation
+        make a plain rtol meaningless, so the error is measured against the
+        sum of the absolute pairing products, isserlis_moment(idx, |cov|).
+        Sorted multi-indices are checked (all of them when there are at most
+        30, else a seeded sample of 30); the symmetry check carries them to
+        every ordering."""
         rng = np.random.default_rng(17)
-        cov = random_spd(rng, 2)
-        table = MomentTable(cov)
-        for order in (2, 4, 6):
-            dense = table.dense(order)
-            for idx in itertools.product(range(2), repeat=order):
-                np.testing.assert_allclose(dense[idx], isserlis_moment(idx, cov),
-                                           rtol=1e-13)
+        eps = np.finfo(np.float64).eps
+        for dim in (1, 2, 3):
+            cov = random_spd(rng, dim)
+            table = MomentTable(cov)
+            for order in range(2, 13, 2):
+                dense = table.dense(order)
+                keys = list(itertools.combinations_with_replacement(range(dim), order))
+                if len(keys) > 30:
+                    keys = [keys[i] for i in rng.choice(len(keys), 30, replace=False)]
+                for idx in keys:
+                    assert abs(dense[idx] - isserlis_moment(idx, cov)) <= (
+                        1e-12 * isserlis_moment(idx, np.abs(cov))), (dim, order, idx)
+                peak = np.max(np.abs(dense))
+                for _ in range(5):
+                    perm = rng.permutation(order)
+                    assert np.max(np.abs(np.transpose(dense, perm) - dense)) <= 8 * eps * peak
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(InvalidInputError):
@@ -128,6 +144,8 @@ class TestMomentTable:
     def test_order_twelve_available(self):
         table = MomentTable(np.diag([1.0, 0.5]))
         dense = table.dense(12)
+        # the memoized arrays are shared between callers
+        assert dense is table.dense(12) and not dense.flags.writeable
         # E[Q1^12] = 11!! for unit variance
         np.testing.assert_allclose(dense[(0,) * 12], 10395.0, rtol=1e-12)
         np.testing.assert_allclose(dense[(1,) * 12], 10395.0 * 0.5 ** 6, rtol=1e-12)

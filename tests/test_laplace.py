@@ -84,6 +84,17 @@ class TestCoordinateInvariance:
         with pytest.raises(InvalidInputError):
             TensorCoeffs(dim=2, mle=np.zeros(2), h_derivs=h, prior_value=1.0,
                          prior_derivs={})
+        # at the tolerance boundary: one entry of a symmetric order-4 array
+        # off by 1e-12 of the largest entry is rounding, by 1e-6 is junk
+        raw = rng.normal(size=(2, 2, 2, 2))
+        h4 = sum(np.transpose(raw, perm) for perm in itertools.permutations(range(4))) / 24.0
+        h = {2: np.eye(2), 4: h4}
+        h4[0, 0, 1, 1] += 1e-12 * np.max(np.abs(h4))
+        TensorCoeffs(dim=2, mle=np.zeros(2), h_derivs=h, prior_value=1.0, prior_derivs={})
+        h4[0, 0, 1, 1] += 1e-6 * np.max(np.abs(h4))
+        with pytest.raises(InvalidInputError):
+            TensorCoeffs(dim=2, mle=np.zeros(2), h_derivs=h, prior_value=1.0,
+                         prior_derivs={})
 
 
 class TestGammaShapeModel:

@@ -92,6 +92,11 @@ class TestNoncentralValues:
         rng = np.random.default_rng(6)
         xs = rng.uniform(-50, 50, size=100)
         ncps = rng.uniform(-80, 80, size=100)
+        # series-branch points (0 < z <= 30) filling more than one 4096-point chunk
+        xs = np.concatenate([xs, rng.uniform(0.1, 50, size=5000)])
+        ncps = np.concatenate([ncps, rng.uniform(0.01, 20, size=5000)])
+        z = xs * ncps * math.sqrt(2.0) / np.sqrt(33.0 + xs * xs)
+        assert np.count_nonzero((z > 0) & (z <= 30)) > 4096
         vec = noncentral_t_logpdf(xs, 33.0, ncps)
         scal = np.array([noncentral_t_logpdf(float(x), 33.0, float(d))
                          for x, d in zip(xs, ncps)])
