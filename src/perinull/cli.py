@@ -382,6 +382,8 @@ def _cmd_laplace_verify(args, parser) -> int:
         mu_hat, sigma_hat = args.theta
         kind = "peri" if model == "ttest-peri" else "alt"
         kappa = args.kappa0 if kind == "peri" else args.kappa1
+        # first, so that out-of-range scales fail as InvalidInputError
+        reference = asy.c_constants(mu_hat, sigma_hat, args.kappa0, args.kappa1)
         expansion = laplace_marginal(
             models.normal_model_oracle(args.n, sigma_hat),
             models.ttest_prior_oracle(kind, kappa),
@@ -390,8 +392,6 @@ def _cmd_laplace_verify(args, parser) -> int:
         if kind == "peri" and mu_hat == 0.0:
             oracle = models.exact_ttest_peri_log_marginal(args.n, kappa, sigma_hat)
         payload = _expansion_payload(expansion, oracle)
-        reference = asy.c_constants(mu_hat, sigma_hat,
-                                    args.kappa0, args.kappa1)
         payload["closed_form_c1"] = (reference.c1_peri if kind == "peri"
                                      else reference.c1_alt)
         payload["closed_form_c2"] = (reference.c2_peri if kind == "peri"

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidInputError
 
@@ -142,7 +141,7 @@ def _log_g_ratio(nu: float, b: np.ndarray) -> np.ndarray:
                       - gmax[..., None])
         integral = integral + half * (vals * _GL_WEIGHTS).sum(axis=-1)
     log_g = math.log(2.0) + gmax + np.log(integral)
-    log_g0 = 0.5 * (nu - 1.0) * math.log(2.0) + special.gammaln(0.5 * (nu + 1.0))
+    log_g0 = 0.5 * (nu - 1.0) * math.log(2.0) + math.lgamma(0.5 * (nu + 1.0))
     return log_g - log_g0
 
 

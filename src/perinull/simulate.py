@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -197,6 +196,9 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
     if workers <= 1 or reps == 1:
         raw = [_simulate_replication(cfg, r) for r in range(reps)]
     else:
+        # imported here: multiprocessing is otherwise never loaded
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, reps // (workers * 8))
             raw = list(pool.map(_simulate_replication, [cfg] * reps, range(reps),

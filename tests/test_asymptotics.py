@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from perinull import (
     InvalidInputError,
+    LogBfDistribution,
     Regime,
     asymptotic_variance,
     bias_term,
@@ -180,6 +182,16 @@ class TestBiasTerm:
         assert bias_term(0.0, 1.0, 0.05, 1.0, 183).min_valid_n == 184
         assert bias_term(0.0, 1.0, 0.05, 1.0, 183).failed_bracket == "peri_null"
 
+    def test_min_valid_n_search_ends_beyond_float_integers(self):
+        """The peri bracket turns positive near n = 1.5e56, where float(n + 1)
+        equals float(n): the search must step by the float spacing to end."""
+        mu, sigma, kappa0 = 1e-18, 1e18, 1e-18 / 1e18
+        b = bias_term(mu, sigma, kappa0, 1.0, 1000)
+        c = c_constants(mu, sigma, kappa0, 1.0)
+        assert not b.valid
+        assert 1e56 < b.min_valid_n < 2e56
+        assert _bracket(c.c1_peri, c.c2_peri, b.min_valid_n) > 0.0
+
     def test_negative_bias_under_the_alternative(self):
         b = bias_term(0.167, 1.0, 0.05, 1.0, 1000)
         assert b.valid
@@ -233,6 +245,26 @@ class TestSamplingDistribution:
         for q in (0.025, 0.5, 0.975):
             expected = dist.center + dist.chi2_scale * sps.chi2.ppf(q, df=1)
             np.testing.assert_allclose(dist.quantile(q), expected, rtol=1e-12)
+
+    def test_quantiles_match_mpmath(self):
+        """Both regimes' standard quantiles, from the stdlib, against
+        40-digit mpmath: the normal one is sqrt(2) erfinv(2q - 1), the
+        chi-square(1) one 2 erfinv(level)^2."""
+        tails = np.geomspace(1e-12, 0.49, 60)
+        levels = np.concatenate((tails, 1.0 - tails))
+
+        def dist(regime, chi2_scale):
+            return LogBfDistribution(regime=regime, n=1, center=0.0, sd=1.0,
+                                     chi2_scale=chi2_scale, usable=True, min_valid_n=1)
+
+        normal = dist(Regime.FIRST_ORDER_NORMAL, 0.0)
+        chi2 = dist(Regime.SECOND_ORDER_CHI_SQUARE, 1.0)
+        with mp.workdps(40):
+            for q in map(float, levels):
+                z = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(q) - 1)
+                x = 2 * mp.erfinv(mp.mpf(q)) ** 2
+                assert abs(normal.quantile(q) - z) <= 2e-15 * abs(z)
+                assert abs(chi2.quantile(q) - x) <= 2e-15 * x
 
     def test_unusable_below_threshold(self):
         dist = sampling_distribution(0.0, 1.0, 0.05, 1.0, 100)

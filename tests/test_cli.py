@@ -281,3 +281,71 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+_IMPORT_CONTRACT_PROBE = """
+import contextlib, io, json, sys
+from perinull.cli import main
+
+def loaded(prefixes):
+    return sorted(m for m in sys.modules if m.split(".")[0] in prefixes
+                  or m.startswith("concurrent.futures.process"))
+
+report = {"import": loaded(("scipy", "multiprocessing"))}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[" ".join(argv)] = [code, loaded(("scipy",))]
+print(json.dumps(report))
+"""
+
+
+def test_cold_process_loads_scipy_only_for_the_interval_null():
+    """``import perinull.cli`` loads neither scipy nor the process pool's
+    modules; every command but the interval null runs without scipy, and
+    the interval null then loads ``scipy.special``."""
+    bf = ["bf", "--t", "2.1", "--n", "60"]
+    commands = [
+        *([*bf, "--variant", v] for v in ("point", "peri", "peripoint", "shrinking")),
+        ["asymptotics", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1"],
+        ["asymptotics", "--mu", "0.167", "--kappa0", "0.05", "--kappa1", "1"],
+        *(["laplace-verify", "--model", m]
+          for m in ("conjugate-gaussian", "beta-bernoulli", "ttest-peri")),
+        ["simulate", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1", "--ngrid", "50:60:10",
+         "--reps", "2", "--seed", "3", "--workers", "1"],
+    ]
+    interval = [*bf, "--variant", "interval"]
+    src = str(Path(perinull.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT_PROBE, json.dumps([*commands, interval])],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(proc.stdout)
+    assert report.pop("import") == []
+    code, modules = report.pop(" ".join(interval))
+    assert code == 0 and "scipy.special" in modules
+    assert report == {" ".join(argv): [0, []] for argv in commands}
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["asymptotics", "--mu", "0.1", "--kappa0", "1e-200", "--kappa1", "1"], 3),
+    (["asymptotics", "--mu", "0", "--kappa0", "1e200", "--kappa1", "1"], 3),
+    (["asymptotics", "--mu", "1e200", "--kappa0", "0.05", "--kappa1", "1"], 3),
+    (["laplace-verify", "--model", "ttest-peri", "--kappa0", "1e-200"], 3),
+    (["simulate", "--mu", "0", "--kappa0", "1e-200", "--kappa1", "1", "--ngrid", "50:50:1",
+      "--reps", "1", "--seed", "3"], 3),
+    (["bf", "--variant", "peri", "--t", "1", "--n", "50", "--kappa0", "1e200", "--json"], 0),
+    (["bf", "--variant", "peripoint", "--t", "1", "--n", "50", "--kappa0", "1e200",
+      "--json"], 0),
+    (["bf", "--variant", "shrinking", "--t", "1", "--n", "50", "--c", "1e300", "--json"], 0),
+])
+def test_extreme_scales_keep_the_exit_contract(capsys, argv, expected_code):
+    """Scales far outside double range: a peri-null Bayes factor is still
+    finite, and the closed forms refuse with exit 3; never a traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code
+    if expected_code == 0:
+        assert math.isfinite(json.loads(out)["log_bf"])
+    else:
+        assert "numerical failure" in err

@@ -64,10 +64,14 @@ def _mp_cauchy_logml(t, n, kappa):
     ("peri", 40.0, 1_000_000, {"kappa0": 1e-6}, None),
     ("shrinking", 40.0, 20_000, {"c": 1.0, "kappa1": 1.0}, 387.3184049),
     ("shrinking", 60.0, 30_000, {"c": 1.0, "kappa1": 1.0}, 868.9148821),
+    ("peri", 3.0, 1000, {"kappa0": 3e148}, None),
+    ("peri", 1.0, 50, {"kappa0": 1e200}, None),
 ])
 def test_mixture_marginals_match_mpmath(kind, t, n, params, expected):
     """Cells where adaptive quadrature over delta was wrong while reporting a
-    tiny (or NaN) bound; references come from mpmath at 30 digits."""
+    tiny (or NaN) bound, and peri-null widths on both sides of the point
+    where n_eff kappa0^2 would overflow; references come from mpmath at 30
+    digits."""
     stats = ingest_one_sample(t, n)
     with mp.workdps(30):
         mt, mn = mp.mpf(t), mp.mpf(n)

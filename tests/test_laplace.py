@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -157,6 +158,30 @@ class TestBetaBernoulliModel:
         errors = [abs(e.log_leading - exact), abs(e.log_with_c1 - exact),
                   abs(e.log_with_c2 - exact)]
         assert errors[2] < errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("n", [10, 200, 2000, 10 ** 6])
+def test_exact_log_marginals_match_mpmath(n):
+    """The models' closed forms, built from math.lgamma, against 40-digit
+    mpmath loggamma and beta."""
+    successes = round(0.4 * n)
+    beta_bernoulli = models.BetaBernoulli(n=n, successes=successes, alpha=2.0, beta=2.5)
+    gamma_shape = models.GammaShape(n=n, shape=2.5, rate=1.5)
+    gaussian = models.ConjugateGaussian(n=n, ybar=0.5, ss=0.9 * n, sigma0=1.5,
+                                        prior_mean=0.2, prior_sd=10.0)
+    with mp.workdps(40):
+        a, b, shape, rate = mp.mpf(2), mp.mpf(2.5), mp.mpf(2.5), mp.mpf(1.5)
+        s2, t2 = mp.mpf(1.5) ** 2, mp.mpf(10) ** 2
+        references = {
+            beta_bernoulli: mp.log(mp.beta(a + successes, b + n - successes) / mp.beta(a, b)),
+            gamma_shape: (shape * mp.log(rate) - mp.loggamma(shape) + mp.loggamma(n + shape)
+                          - (n + shape) * mp.log(n + rate)),
+            gaussian: (-n * mp.log(2 * mp.pi * s2) / 2 - mp.mpf(0.9 * n) / (2 * s2)
+                       + mp.log(s2 / (s2 + n * t2)) / 2
+                       - n * (mp.mpf(0.5) - mp.mpf(0.2)) ** 2 / (2 * (s2 + n * t2))),
+        }
+        for spec, reference in references.items():
+            assert abs(spec.exact_log_marginal() - reference) <= 4e-15 * abs(reference)
 
 
 class TestTTestModel:
