@@ -52,7 +52,7 @@ from .core import (
     TruncatedCauchy,
 )
 from .errors import DegeneratePriorError, InvalidInputError, QuadratureConvergenceError
-from .nct import central_t_logpdf
+from .nct import _log_trapezoid, central_t_logpdf
 # unused here, but perfbench/spans.py wraps engine.noncentral_t_logpdf when tracing
 from .nct import noncentral_t_logpdf  # noqa: F401
 
@@ -98,16 +98,6 @@ _LOG_ROUNDING = 16.0 * float(np.finfo(np.float64).eps)
 # from c = sqrt(n_eff) kappa0 >= _WIDE_PERI on, the peri-null scale
 # s = sqrt(1 + c^2) is c to the last bit, and c^2 would soon overflow
 _WIDE_PERI = 1e150
-
-
-def _log_trapezoid(log_f, h):
-    """log of the step-h trapezoid sum of exp(log_f) over its last (odd)
-    axis, whose ends are negligible, and its relative gap to the 2h sum."""
-    m = log_f.max(axis=-1, keepdims=True)
-    scaled = np.exp(log_f - m)
-    fine = scaled.sum(axis=-1) * h
-    coarse = scaled[..., ::2].sum(axis=-1) * (2.0 * h)
-    return m[..., 0] + np.log(fine), np.abs(fine - coarse) / fine
 
 
 def _cauchy_g_grid(stats, kappa, lo, top=-math.inf):

@@ -81,13 +81,24 @@ def normal_model_oracle(n: int, sigma_hat: float) -> Callable:
 # t-test priors in (mu, sigma) coordinates
 
 def _gaussian_derivative_values(x: float, kappa: float, kmax: int = 4):
-    """g^(k)(x) for g = Normal(0, kappa^2) density, via probabilists' Hermite."""
+    """g^(k)(x) for g = Normal(0, kappa^2) density, via probabilists' Hermite.
+
+    Raises :class:`InvalidInputError` when a derivative is not a finite double
+    (kappa^k underflows to 0 below kappa = 1e-81 and overflows above 1e77).
+    """
     z = x / kappa
     he = [1.0, z]
     for k in range(1, kmax + 1):
         he.append(z * he[k] - k * he[k - 1])
     g0 = math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * kappa)
-    return [g0 * (-1.0) ** k * he[k] / kappa ** k for k in range(kmax + 1)]
+    try:
+        values = [g0 * (-1.0) ** k * he[k] / kappa ** k for k in range(kmax + 1)]
+    except (ZeroDivisionError, OverflowError):
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise InvalidInputError(f"a derivative of the N(0, {kappa:.3g}^2) density at "
+                                f"{x:.3g} is not a finite double")
+    return values
 
 
 def _cauchy_derivative_values(x: float, kappa: float, kmax: int = 4):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -193,7 +194,11 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
     reduction happens in replication order.
     """
     reps = cfg.replications
-    if workers <= 1 or reps == 1:
+    # a forked pool starts all its workers at once, so it gets no more than
+    # the replications and the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, reps, cpus or 1)
+    if workers <= 1:
         raw = [_simulate_replication(cfg, r) for r in range(reps)]
     else:
         # imported here: multiprocessing is otherwise never loaded

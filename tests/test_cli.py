@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, JSON schemas, file outputs."""
 
+import importlib.util
 import json
 import math
 import os
@@ -283,13 +284,35 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
     assert proc.stdout.strip() == "[]"
 
 
+def test_tracer_finds_every_name_it_wraps():
+    """``perfbench/spans.py`` wraps the package's functions by name on the
+    modules that bind them (``engine.noncentral_t_logpdf``,
+    ``MomentTable.component`` among them) when a run is traced; a missing
+    name makes every traced run fail at install. Install, then uninstall
+    restores every original."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = (perinull.engine.noncentral_t_logpdf, perinull.engine.marginal_loglik,
+                 perinull.isserlis.MomentTable.component, perinull.cli.main)
+    recorder = spans.Recorder()
+    try:
+        recorder.install(perinull)
+        assert perinull.engine.noncentral_t_logpdf is not originals[0]
+    finally:
+        recorder.uninstall()
+    assert (perinull.engine.noncentral_t_logpdf, perinull.engine.marginal_loglik,
+            perinull.isserlis.MomentTable.component, perinull.cli.main) == originals
+
+
 _IMPORT_CONTRACT_PROBE = """
 import contextlib, io, json, sys
 from perinull.cli import main
 
 def loaded(prefixes):
     return sorted(m for m in sys.modules if m.split(".")[0] in prefixes
-                  or m.startswith("concurrent.futures.process"))
+                  or m.startswith(("concurrent.futures.process", "numpy.polynomial")))
 
 report = {"import": loaded(("scipy", "multiprocessing"))}
 for argv in json.loads(sys.argv[1]):
@@ -301,9 +324,9 @@ print(json.dumps(report))
 
 
 def test_cold_process_loads_scipy_only_for_the_interval_null():
-    """``import perinull.cli`` loads neither scipy nor the process pool's
-    modules; every command but the interval null runs without scipy, and
-    the interval null then loads ``scipy.special``."""
+    """``import perinull.cli`` loads neither scipy, nor the process pool's
+    modules, nor ``numpy.polynomial``; every command but the interval null
+    runs without scipy, and the interval null then loads ``scipy.special``."""
     bf = ["bf", "--t", "2.1", "--n", "60"]
     commands = [
         *([*bf, "--variant", v] for v in ("point", "peri", "peripoint", "shrinking")),

@@ -150,6 +150,21 @@ class TestConjugateGaussianModel:
         assert abs(e.log_with_c1 - exact) <= abs(e.log_leading - exact)
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda: models.ttest_prior_oracle("peri", 1e-100)([0.0, 1.0]),
+    lambda: models.ConjugateGaussian(n=10, ybar=0.0, ss=9.0,
+                                     prior_sd=1e-100).prior_oracle()(np.array([0.0])),
+    lambda: models.ConjugateGaussian(n=10, ybar=0.0, ss=9.0,
+                                     prior_sd=1e-70).prior_oracle()(np.array([0.0])),
+], ids=["ttest-peri-1e-100", "conjugate-1e-100", "conjugate-1e-70"])
+def test_gaussian_prior_oracles_refuse_non_finite_derivatives(oracle):
+    """kappa^k underflows to 0 (1e-100) or g^(4) overflows (1e-70): both
+    oracles that reach the normal-density derivatives raise the package's
+    error, not ZeroDivisionError or an inf."""
+    with pytest.raises(InvalidInputError):
+        oracle()
+
+
 class TestBetaBernoulliModel:
     def test_truncations_strictly_improve_at_n50(self):
         spec = models.BetaBernoulli(n=50, successes=20, alpha=2.0, beta=2.0)

@@ -2,11 +2,18 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from perinull import InvalidInputError, central_t_logpdf, noncentral_t_logpdf
+from perinull import (
+    InvalidInputError,
+    QuadratureConvergenceError,
+    central_t_logpdf,
+    nct,
+    noncentral_t_logpdf,
+)
 
 from conftest import nct_logpdf_oracle
 
@@ -84,23 +91,26 @@ class TestNoncentralValues:
             x = rng.uniform(-6, 6)
             nu = rng.uniform(1, 300)
             ncp = rng.uniform(-20, 20)
-            np.testing.assert_allclose(noncentral_t_logpdf(x, nu, ncp),
-                                       noncentral_t_logpdf(-x, nu, -ncp),
-                                       rtol=1e-13, atol=1e-13)
+            assert noncentral_t_logpdf(x, nu, ncp) == noncentral_t_logpdf(-x, nu, -ncp)
 
-    def test_vectorized_matches_scalar(self):
+    def test_vectorized_matches_scalar(self, monkeypatch):
         rng = np.random.default_rng(6)
         xs = rng.uniform(-50, 50, size=100)
         ncps = rng.uniform(-80, 80, size=100)
-        # series-branch points (0 < z <= 30) filling more than one 4096-point chunk
         xs = np.concatenate([xs, rng.uniform(0.1, 50, size=5000)])
         ncps = np.concatenate([ncps, rng.uniform(0.01, 20, size=5000)])
-        z = xs * ncps * math.sqrt(2.0) / np.sqrt(33.0 + xs * xs)
-        assert np.count_nonzero((z > 0) & (z <= 30)) > 4096
+        # the vector call must run more than one block of the rule, each
+        # with its own node count
+        blocks = []
+        trapezoid = nct._log_trapezoid
+        monkeypatch.setattr(nct, "_log_trapezoid",
+                            lambda log_f, h: blocks.append(log_f.shape) or trapezoid(log_f, h))
         vec = noncentral_t_logpdf(xs, 33.0, ncps)
+        assert len(blocks) > 1
+        monkeypatch.undo()
         scal = np.array([noncentral_t_logpdf(float(x), 33.0, float(d))
                          for x, d in zip(xs, ncps)])
-        np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vec, scal, rtol=1e-14, atol=1e-14)
 
     def test_normalization_integrates_to_one(self):
         from scipy import integrate
@@ -116,3 +126,43 @@ class TestNoncentralValues:
             noncentral_t_logpdf(1.0, 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             noncentral_t_logpdf(1.0, -3.0, 1.0)
+
+    @pytest.mark.parametrize("x, ncp", [(math.inf, 1.0), (1.0, math.nan), (1e200, 1.0)])
+    def test_no_finite_window_raises(self, x, ncp):
+        """A point whose rule has no finite window reports an infinite bound
+        instead of returning nan."""
+        with np.errstate(all="ignore"), pytest.raises(QuadratureConvergenceError) as info:
+            noncentral_t_logpdf([0.5, x], 10.0, [1.0, ncp])
+        assert info.value.error_bound == math.inf
+
+
+def _mpmath_logpdf(x, nu, ncp):
+    """40-digit quadrature of f(x) = int u phi(x u - ncp) p_U(u) du over
+    y = log u, u = sqrt(V / nu), V ~ chi2(nu): breakpoints every sd for 12 sd
+    about the mode, and a left segment reaching 200 / (nu + 1) past them."""
+    with mp.workdps(40):
+        x, nu, ncp = mp.mpf(x), mp.mpf(nu), mp.mpf(ncp)
+        log_norm = mp.log(2) + nu / 2 * mp.log(nu / 2) - mp.loggamma(nu / 2)
+
+        def log_f(y):
+            u = mp.exp(y)
+            return (log_norm + (nu + 1) * y - nu * u * u / 2
+                    - (x * u - ncp) ** 2 / 2 - mp.log(2 * mp.pi) / 2)
+
+        a2, p = nu + x * x, x * ncp
+        w = (p + mp.sqrt(p * p + 4 * a2 * (nu + 1))) / (2 * a2)
+        mode, sd = mp.log(w), 1 / mp.sqrt(a2 * w * w + nu + 1)
+        peak = log_f(mode)
+        points = [mode - 12 * sd - 200 / (nu + 1)] + [mode + k * sd for k in range(-12, 13)]
+        return float(peak + mp.log(mp.quad(lambda y: mp.exp(log_f(y) - peak), points)))
+
+
+@pytest.mark.parametrize("x, nu, ncp", [
+    (0.3, 1e3, -0.1), (0.3, 1e4, -0.1), (0.3, 1e5, -0.1),
+    (1.0, 1.0, -300.0), (300.0, 1.0, -300.0), (-120.0, 1e5, 250.0),
+])
+def test_matches_mpmath(x, nu, ncp):
+    """Within 1e-13 relative of 40-digit mpmath, also at nu = 1e5, where the
+    terms of the log integrand reach sqrt(nu) and the mode is sharp."""
+    ref = _mpmath_logpdf(x, nu, ncp)
+    assert abs(noncentral_t_logpdf(x, nu, ncp) - ref) <= 1e-13 * abs(ref)

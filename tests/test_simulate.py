@@ -1,7 +1,10 @@
 """Simulation harness: determinism, parallel equivalence, curve behavior,
 crossing detection, and the asymptotic overlay."""
 
+import concurrent.futures
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from perinull import (
     overlay_asymptotics,
     run_simulation,
 )
+from perinull.cli import main as cli_main
 
 
 def small_config(**overrides):
@@ -60,6 +64,37 @@ class TestDeterminism:
         serial = run_simulation(cfg, workers=1)
         parallel = run_simulation(cfg, workers=2)
         assert serial.cells == parallel.cells
+
+    def test_pool_size_is_bounded_by_replications_and_cpus(self, monkeypatch, tmp_path):
+        """``workers`` far above the replications or the CPUs forks no more
+        processes than either; the manifest keeps the requested value. The
+        pool is a fake that records its size and starts nothing."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = small_config(replications=5)
+        assert run_simulation(cfg, workers=5000).cells == run_simulation(cfg).cells
+        run_simulation(small_config(replications=2), workers=5000)
+        assert cli_main(["simulate", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1",
+                         "--ngrid", "50:60:10", "--reps", "4", "--seed", "3",
+                         "--workers", "5000", "--out", str(tmp_path)]) == 0
+        assert sizes == [3, 2, 3]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"]["workers"] == 5000
 
     def test_different_seeds_differ(self):
         a = run_simulation(small_config(seed=1))
