@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import ParamPoint
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 
 __all__ = [
     "Regime",
@@ -70,8 +70,9 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def _check(mu, sigma, kappa0, kappa1):
-    if sigma <= 0 or kappa0 <= 0 or kappa1 <= 0:
-        raise InvalidInputError("sigma, kappa0 and kappa1 must be positive")
+    check_range("sigma", sigma)
+    check_range("kappa0", kappa0)
+    check_range("kappa1", kappa1)
     lo, hi = _FACTOR_RANGE
     for name, value in (("|mu|", max(abs(mu), lo)), ("sigma", sigma),
                         ("kappa0 sigma", kappa0 * sigma), ("kappa1 sigma", kappa1 * sigma)):
@@ -134,8 +135,7 @@ def asymptotic_variance(mu: float, sigma: float, kappa0: float, kappa1: float,
     and vanishes identically at mu = 0.
     """
     _check(mu, sigma, kappa0, kappa1)
-    if n < 1:
-        raise InvalidInputError("n must be a positive integer")
+    check_range("n", n, 1, closed=True)
     mu2, s2 = mu * mu, sigma * sigma
     num = (mu2 * mu2 + 2.0 * mu2 * s2) * (mu2 + (kappa1 ** 2 - 2.0 * kappa0 ** 2) * s2) ** 2
     den = 2.0 * kappa0 ** 4 * s2 * s2 * (mu2 + kappa1 ** 2 * s2) ** 2 * n
@@ -206,8 +206,7 @@ class BiasTerm:
 
 def bias_term(mu: float, sigma: float, kappa0: float, kappa1: float, n: int) -> BiasTerm:
     """Finite-n mean shift E(theta, n) = log(bracket_alt / bracket_peri)."""
-    if n < 1:
-        raise InvalidInputError("n must be a positive integer")
+    check_range("n", n, 1, closed=True)
     c = c_constants(mu, sigma, kappa0, kappa1)
     b_alt = _bracket(c.c1_alt, c.c2_alt, n)
     b_peri = _bracket(c.c1_peri, c.c2_peri, n)
@@ -247,8 +246,7 @@ class LogBfDistribution:
         return self.center + self.chi2_scale
 
     def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise InvalidInputError("quantile level must lie in (0, 1)")
+        check_range("quantile level", q, 0, 1)
         if not self.usable:
             return math.nan
         if self.regime is Regime.FIRST_ORDER_NORMAL:

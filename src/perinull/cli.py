@@ -6,11 +6,12 @@ Carlo curves written as CSV plus a JSON run manifest), and
 ``laplace-verify`` (expansion accuracy against per-model oracles).
 
 Exit codes: 0 on success (including flagged-but-valid outputs), 2 on usage
-errors, 3 on numerical failure. Every command accepts ``--json``; file
-outputs are byte-stable for fixed inputs and seed. ``PERINULL_SEED``
-provides the default seed of ``simulate`` (1234 when unset); a value that is
-not an integer in [0, 2**64) is a usage error. ``--config`` points at a
-key=value file whose entries are overridden by explicit flags.
+errors (a float flag given nan or +-inf among them), 3 on numerical failure.
+Every command accepts ``--json``; file outputs are byte-stable for fixed
+inputs and seed. ``PERINULL_SEED`` provides the default seed of ``simulate``
+(1234 when unset); a value that is not an integer in [0, 2**64) is a usage
+error. ``--config`` points at a key=value file whose entries are overridden
+by explicit flags.
 """
 
 from __future__ import annotations
@@ -27,21 +28,17 @@ import numpy as np
 from . import __version__
 from . import asymptotics as asy
 from . import engine, models
-from .core import ingest_one_sample, ingest_two_sample
-from .errors import PeriNullError
+from .core import Design, SummaryStats, ingest_one_sample, ingest_two_sample
+from .errors import PeriNullError, check_range
 from .laplace import laplace_marginal
 from .simulate import SimConfig, Variant, overlay_asymptotics, run_simulation
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 3
 
-_VARIANT_NAMES = {v.value: v for v in Variant}
-
 
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
@@ -69,13 +66,22 @@ def _default_seed(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("PERINULL_SEED")
     if env is None:
         return 1234
-    try:
-        seed = int(env)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError
+    try:  # InvalidInputError is a ValueError
+        seed = check_range("PERINULL_SEED", int(env), 0, 2 ** 64, closed=True)
     except ValueError:
         parser.error(f"PERINULL_SEED must be an integer in [0, 2**64), got {env!r}")
     return seed
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_grid(spec: str, parser: argparse.ArgumentParser):
@@ -100,8 +106,6 @@ def _stats_from_args(args, parser):
     if args.design == "two-sample" or (args.n1 is not None or args.n2 is not None):
         if args.n1 is None or args.n2 is None:
             parser.error("two-sample --t input needs --n1 and --n2")
-        from .core import Design, SummaryStats
-
         n1, n2 = args.n1, args.n2
         return SummaryStats(t=args.t, nu=float(n1 + n2 - 2),
                             n_eff=n1 * n2 / (n1 + n2),
@@ -166,6 +170,8 @@ def _asy_row(mu, sigma, kappa0, kappa1, n) -> dict:
 
 def _cmd_asymptotics(args, parser) -> int:
     mu, sigma, kappa0, kappa1 = args.mu, args.sigma, args.kappa0, args.kappa1
+    if args.out and not args.grid:
+        parser.error("--out needs --grid")
     if args.grid:
         grid = _parse_grid(args.grid, parser)
         rows = [_asy_row(mu, sigma, kappa0, kappa1, n) for n in grid]
@@ -173,11 +179,8 @@ def _cmd_asymptotics(args, parser) -> int:
             _print_json(rows)
             return 0
         lines = [",".join(_ASY_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(
-                _fmt(row[c]) if c not in ("regime", "valid", "n")
-                else str(row[c]).lower() if c == "valid" else str(row[c])
-                for c in _ASY_COLUMNS))
+        for row in rows:  # lower(): the valid flag prints as true/false
+            lines.append(",".join(_fmt(row[c]).lower() for c in _ASY_COLUMNS))
         text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -279,13 +282,10 @@ def _curves_csv(rows) -> str:
 
 
 def _cmd_simulate(args, parser) -> int:
-    variants = []
-    for name in args.variants.split(","):
-        name = name.strip()
-        if name not in _VARIANT_NAMES:
-            parser.error(f"unknown variant {name!r}; choose from "
-                         f"{sorted(_VARIANT_NAMES)}")
-        variants.append(_VARIANT_NAMES[name])
+    try:
+        variants = [Variant(name.strip()) for name in args.variants.split(",")]
+    except ValueError as exc:
+        parser.error(f"{exc}; choose from {sorted(v.value for v in Variant)}")
     cfg = SimConfig(
         mu=args.mu, sigma=args.sigma, kappa0=args.kappa0, kappa1=args.kappa1,
         n_grid=_parse_grid(args.ngrid, parser), replications=args.reps,
@@ -366,19 +366,7 @@ def _print_expansion(payload):
 
 def _cmd_laplace_verify(args, parser) -> int:
     model = args.model
-    if model == "conjugate-gaussian":
-        spec = models.ConjugateGaussian(n=args.n, ybar=0.5, ss=0.9 * args.n,
-                                        sigma0=1.0, prior_mean=0.0, prior_sd=10.0)
-        expansion = laplace_marginal(spec.loglik_oracle(), spec.prior_oracle(),
-                                     spec.mle, args.n)
-        payload = _expansion_payload(expansion, spec.exact_log_marginal())
-    elif model == "beta-bernoulli":
-        spec = models.BetaBernoulli(n=args.n, successes=max(1, round(0.4 * args.n)),
-                                    alpha=2.0, beta=2.0)
-        expansion = laplace_marginal(spec.loglik_oracle(), spec.prior_oracle(),
-                                     spec.mle, args.n)
-        payload = _expansion_payload(expansion, spec.exact_log_marginal())
-    elif model in ("ttest-peri", "ttest-alt"):
+    if model in ("ttest-peri", "ttest-alt"):
         mu_hat, sigma_hat = args.theta
         kind = "peri" if model == "ttest-peri" else "alt"
         kappa = args.kappa0 if kind == "peri" else args.kappa1
@@ -392,12 +380,18 @@ def _cmd_laplace_verify(args, parser) -> int:
         if kind == "peri" and mu_hat == 0.0:
             oracle = models.exact_ttest_peri_log_marginal(args.n, kappa, sigma_hat)
         payload = _expansion_payload(expansion, oracle)
-        payload["closed_form_c1"] = (reference.c1_peri if kind == "peri"
-                                     else reference.c1_alt)
-        payload["closed_form_c2"] = (reference.c2_peri if kind == "peri"
-                                     else reference.c2_alt)
-    else:  # pragma: no cover - argparse enforces choices
-        parser.error(f"unknown model {model!r}")
+        payload["closed_form_c1"] = getattr(reference, f"c1_{kind}")
+        payload["closed_form_c2"] = getattr(reference, f"c2_{kind}")
+    else:
+        if model == "conjugate-gaussian":
+            spec = models.ConjugateGaussian(n=args.n, ybar=0.5, ss=0.9 * args.n,
+                                            sigma0=1.0, prior_mean=0.0, prior_sd=10.0)
+        else:  # beta-bernoulli, the last of the choices argparse allows
+            spec = models.BetaBernoulli(n=args.n, successes=max(1, round(0.4 * args.n)),
+                                        alpha=2.0, beta=2.0)
+        expansion = laplace_marginal(spec.loglik_oracle(), spec.prior_oracle(),
+                                     spec.mle, args.n)
+        payload = _expansion_payload(expansion, spec.exact_log_marginal())
     payload["model"] = model
     if args.json:
         _print_json(payload)
@@ -422,29 +416,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bf = sub.add_parser("bf", help="Bayes factors for one study")
-    bf.add_argument("--t", type=float)
+    bf.add_argument("--t", type=_finite_float)
     bf.add_argument("--n", type=int)
     bf.add_argument("--n1", type=int)
     bf.add_argument("--n2", type=int)
-    bf.add_argument("--summary", type=float, nargs=6,
+    bf.add_argument("--summary", type=_finite_float, nargs=6,
                     metavar=("M1", "SD1", "N1", "M2", "SD2", "N2"))
     bf.add_argument("--design", choices=("one-sample", "two-sample"),
                     default="one-sample")
     bf.add_argument("--variant", required=True, choices=tuple(engine.VARIANTS))
-    bf.add_argument("--kappa0", type=float, default=0.05)
-    bf.add_argument("--kappa1", type=float, default=1.0 / math.sqrt(2.0))
-    bf.add_argument("--a", type=float, default=0.5)
-    bf.add_argument("--xi", type=float, default=0.5)
-    bf.add_argument("--c", type=float, default=1.0)
-    bf.add_argument("--prior-odds", type=float, default=1.0)
+    bf.add_argument("--kappa0", type=_finite_float, default=0.05)
+    bf.add_argument("--kappa1", type=_finite_float, default=1.0 / math.sqrt(2.0))
+    bf.add_argument("--a", type=_finite_float, default=0.5)
+    bf.add_argument("--xi", type=_finite_float, default=0.5)
+    bf.add_argument("--c", type=_finite_float, default=1.0)
+    bf.add_argument("--prior-odds", type=_finite_float, default=1.0)
     bf.add_argument("--json", action="store_true")
     bf.add_argument("--config")
 
     a = sub.add_parser("asymptotics", help="limits, variances and bias terms")
-    a.add_argument("--mu", type=float, required=True)
-    a.add_argument("--sigma", type=float, default=1.0)
-    a.add_argument("--kappa0", type=float, required=True)
-    a.add_argument("--kappa1", type=float, required=True)
+    a.add_argument("--mu", type=_finite_float, required=True)
+    a.add_argument("--sigma", type=_finite_float, default=1.0)
+    a.add_argument("--kappa0", type=_finite_float, required=True)
+    a.add_argument("--kappa1", type=_finite_float, required=True)
     a.add_argument("--n", type=int, default=1000)
     a.add_argument("--grid", help="nmin:nmax:step for per-n CSV output")
     a.add_argument("--out", help="write grid CSV here instead of stdout")
@@ -452,17 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--config")
 
     sim = sub.add_parser("simulate", help="Monte Carlo sampling-distribution curves")
-    sim.add_argument("--mu", type=float, required=True)
-    sim.add_argument("--sigma", type=float, default=1.0)
-    sim.add_argument("--kappa0", type=float, required=True)
-    sim.add_argument("--kappa1", type=float, required=True)
+    sim.add_argument("--mu", type=_finite_float, required=True)
+    sim.add_argument("--sigma", type=_finite_float, default=1.0)
+    sim.add_argument("--kappa0", type=_finite_float, required=True)
+    sim.add_argument("--kappa1", type=_finite_float, required=True)
     sim.add_argument("--ngrid", required=True, help="nmin:nmax:step")
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--variants", default="point,peri")
-    sim.add_argument("--a", type=float, default=0.5)
-    sim.add_argument("--xi", type=float, default=0.5)
-    sim.add_argument("--c", type=float, default=1.0)
+    sim.add_argument("--a", type=_finite_float, default=0.5)
+    sim.add_argument("--xi", type=_finite_float, default=0.5)
+    sim.add_argument("--c", type=_finite_float, default=1.0)
     sim.add_argument("--out", help="output directory for curves.csv + manifest.json")
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--independent", action="store_true",
@@ -476,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     lap.add_argument("--model", required=True,
                      choices=("conjugate-gaussian", "beta-bernoulli",
                               "ttest-peri", "ttest-alt"))
-    lap.add_argument("--theta", type=float, nargs=2, default=(0.0, 1.0),
+    lap.add_argument("--theta", type=_finite_float, nargs=2, default=(0.0, 1.0),
                      metavar=("MU", "SIGMA"))
     lap.add_argument("--n", type=int, default=100)
-    lap.add_argument("--kappa0", type=float, default=0.05)
-    lap.add_argument("--kappa1", type=float, default=1.0 / math.sqrt(2.0))
+    lap.add_argument("--kappa0", type=_finite_float, default=0.05)
+    lap.add_argument("--kappa1", type=_finite_float, default=1.0 / math.sqrt(2.0))
     lap.add_argument("--json", action="store_true")
     lap.add_argument("--config")
     return parser

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 
 __all__ = [
     "Design",
@@ -52,12 +52,10 @@ class SummaryStats:
     n_total: int
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise InvalidInputError("t statistic must be finite")
-        if self.nu <= 0 or self.n_eff <= 0:
-            raise InvalidInputError("nu and n_eff must be positive")
-        if self.n_total < 2:
-            raise InvalidInputError("n_total must be at least 2")
+        check_range("t", self.t, -math.inf)
+        check_range("nu", self.nu)
+        check_range("n_eff", self.n_eff)
+        check_range("n_total", self.n_total, 2, closed=True)
         expected_nu = self.n_total - 1 if self.design is Design.ONE_SAMPLE else self.n_total - 2
         if abs(self.nu - expected_nu) > 1e-9:
             raise InvalidInputError(
@@ -75,8 +73,8 @@ class ParamPoint:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidInputError("sigma must be positive")
+        check_range("mu", self.mu, -math.inf)
+        check_range("sigma", self.sigma)
 
     @property
     def delta(self) -> float:
@@ -101,8 +99,7 @@ class PeriNullNormal(PriorSpec):
     kappa0: float
 
     def __post_init__(self):
-        if self.kappa0 <= 0:
-            raise InvalidInputError("kappa0 must be positive")
+        check_range("kappa0", self.kappa0)
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,7 @@ class AltCauchy(PriorSpec):
     kappa1: float
 
     def __post_init__(self):
-        if self.kappa1 <= 0:
-            raise InvalidInputError("kappa1 must be positive")
+        check_range("kappa1", self.kappa1)
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,8 @@ class TruncatedCauchy(PriorSpec):
     inside: bool
 
     def __post_init__(self):
-        if self.kappa_e <= 0 or self.a <= 0:
-            raise InvalidInputError("kappa_e and a must be positive")
+        check_range("kappa_e", self.kappa_e)
+        check_range("a", self.a)
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,8 @@ class PeriPointMixture(PriorSpec):
     kappa0: float
 
     def __post_init__(self):
-        if not 0.0 < self.xi < 1.0:
-            raise InvalidInputError("xi must lie strictly inside (0, 1)")
-        if self.kappa0 <= 0:
-            raise InvalidInputError("kappa0 must be positive")
+        check_range("xi", self.xi, 0, 1)
+        check_range("kappa0", self.kappa0)
 
 
 @dataclass(frozen=True)
@@ -154,8 +148,7 @@ class ShrinkingPeriNull(PriorSpec):
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidInputError("c must be positive")
+        check_range("c", self.c)
 
     def resolve(self, n_total: int) -> PeriNullNormal:
         return PeriNullNormal(self.c / math.sqrt(n_total))
@@ -188,10 +181,9 @@ class BFResult:
     correction_log_bf: Optional[float] = None
 
     def __post_init__(self):
-        if self.prior_odds <= 0:
-            raise InvalidInputError("prior_odds must be positive")
-        if not 0.0 <= self.quad_error_bound < math.inf:
-            raise InvalidInputError("quad_error_bound must be finite and nonnegative")
+        check_range("log_bf", self.log_bf, -math.inf)
+        check_range("prior_odds", self.prior_odds)
+        check_range("quad_error_bound", self.quad_error_bound, closed=True)
         try:
             bf = math.exp(self.log_bf)
         except OverflowError:
@@ -215,8 +207,7 @@ class BFResult:
 
 def ingest_one_sample(t: float, n: int) -> SummaryStats:
     """Wrap an observed one-sample t statistic: nu = n - 1, n_eff = n."""
-    if n < 2:
-        raise InvalidInputError("one-sample design needs n >= 2")
+    check_range("n", n, 2, closed=True)
     return SummaryStats(t=float(t), nu=float(n - 1), n_eff=float(n),
                         design=Design.ONE_SAMPLE, n_total=int(n))
 
@@ -229,10 +220,10 @@ def ingest_two_sample(mean1: float, sd1: float, n1: int,
     n_eff = n1*n2/(n1 + n2). Downstream Bayes factors for symmetric priors
     depend on |t| only.
     """
-    if sd1 <= 0 or sd2 <= 0:
-        raise InvalidInputError("group standard deviations must be positive")
-    if n1 < 2 or n2 < 2:
-        raise InvalidInputError("each group needs at least 2 observations")
+    check_range("sd1", sd1)
+    check_range("sd2", sd2)
+    check_range("n1", n1, 2, closed=True)
+    check_range("n2", n2, 2, closed=True)
     nu = n1 + n2 - 2
     pooled_var = ((n1 - 1) * sd1 ** 2 + (n2 - 1) * sd2 ** 2) / nu
     se = math.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))

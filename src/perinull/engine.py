@@ -51,7 +51,7 @@ from .core import (
     SummaryStats,
     TruncatedCauchy,
 )
-from .errors import DegeneratePriorError, InvalidInputError, QuadratureConvergenceError
+from .errors import DegeneratePriorError, InvalidInputError, QuadratureConvergenceError, check_range
 from .nct import _log_trapezoid, central_t_logpdf
 # unused here, but perfbench/spans.py wraps engine.noncentral_t_logpdf when tracing
 from .nct import noncentral_t_logpdf  # noqa: F401
@@ -78,8 +78,7 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise InvalidInputError("rel_tol must be positive")
+        check_range("rel_tol", self.rel_tol)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its input contract: every
+scalar argument (scales, prior odds, sample sizes, seeds, bounds) passes
+:func:`check_range`, so an out-of-range, nan or infinite value raises
+:class:`InvalidInputError` naming the argument instead of coming back as a
+number. The command line refuses non-finite float flags with exit code 2.
+"""
+
+import math
 
 
 class PeriNullError(Exception):
@@ -7,6 +14,16 @@ class PeriNullError(Exception):
 
 class InvalidInputError(PeriNullError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_range(name, value, lo=0, hi=math.inf, *, closed=False):
+    """Return ``value`` if ``lo < value < hi`` (``lo <= value`` when ``closed``),
+    else raise :class:`InvalidInputError` naming ``name``. The default range
+    means positive and finite, ``lo=-math.inf`` finite; nan fails every range."""
+    if lo < value < hi or (closed and value == lo):
+        return value
+    raise InvalidInputError(
+        f"{name} must lie in {'[' if closed else '('}{lo}, {hi}), got {value}")
 
 
 class DegeneratePriorError(InvalidInputError):

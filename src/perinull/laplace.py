@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedOrderError
+from .errors import InvalidInputError, UnsupportedOrderError, check_range
 from .isserlis import MomentTable
 
 __all__ = [
@@ -74,13 +74,11 @@ class TensorCoeffs:
     prior_derivs: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise InvalidInputError(f"dim must be between 1 and {MAX_DIM}")
+        check_range("dim", self.dim, 1, MAX_DIM + 1, closed=True)
         object.__setattr__(self, "mle", np.asarray(self.mle, dtype=np.float64))
         if self.mle.shape != (self.dim,):
             raise InvalidInputError("mle must be a vector of length dim")
-        if self.prior_value <= 0:
-            raise InvalidInputError("prior_value must be positive")
+        check_range("prior_value", self.prior_value)
         if 2 not in self.h_derivs:
             raise InvalidInputError("h_derivs must include the order-2 information matrix")
         h = {k: _check_symmetric(v, k, self.dim, "log-likelihood")
@@ -201,8 +199,7 @@ def laplace_marginal(loglik_derivative_oracle: Callable,
     log-likelihood for orders 2..6; ``prior_derivative_oracle(mle)`` returns
     ``(prior_value, {order: array})`` for orders 1..4.
     """
-    if n < 1:
-        raise InvalidInputError("n must be a positive integer")
+    check_range("n", n, 1, closed=True)
     mle = np.atleast_1d(np.asarray(mle, dtype=np.float64))
     loglik_value, h_derivs = loglik_derivative_oracle(mle)
     prior_value, prior_derivs = prior_derivative_oracle(mle)
@@ -255,9 +252,7 @@ def _stencil_eval(fn, point, axis_orders, steps):
         for a, (offset, weight) in zip(axes, combo):
             shifted[a] += offset * steps[a]
             coef *= weight / steps[a] ** axis_orders[a]
-        fv = fn(shifted)
-        if not math.isfinite(fv):
-            raise InvalidInputError("function returned a non-finite value on the stencil")
+        fv = check_range("the function's value on the stencil", fn(shifted), -math.inf)
         max_abs_f = max(max_abs_f, abs(fv))
         value += coef * fv
     amplification = 1.0

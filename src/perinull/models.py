@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 
 __all__ = [
     "normal_model_oracle",
@@ -50,9 +50,8 @@ def normal_model_oracle(n: int, sigma_hat: float) -> Callable:
     At the MLE the derivative arrays depend on sigma_hat only. The returned
     callable matches the ``loglik_derivative_oracle`` protocol.
     """
-    if sigma_hat <= 0:
-        raise InvalidInputError("sigma_hat must be positive")
-    s = sigma_hat
+    check_range("n", n, -math.inf)
+    s = check_range("sigma_hat", sigma_hat)
 
     # nonzero components by sorted multi-index (0 = mu, 1 = sigma)
     table = {
@@ -143,8 +142,7 @@ def ttest_prior_oracle(kind: str, kappa: float) -> Callable:
     ``kind`` selects g: "peri" for Normal(0, kappa^2), "alt" for
     Cauchy(0, kappa). Returns the ``prior_derivative_oracle`` callable.
     """
-    if kappa <= 0:
-        raise InvalidInputError("kappa must be positive")
+    check_range("kappa", kappa)
     if kind == "peri":
         gvals_at = lambda x: _gaussian_derivative_values(x, kappa)
     elif kind == "alt":
@@ -153,9 +151,8 @@ def ttest_prior_oracle(kind: str, kappa: float) -> Callable:
         raise InvalidInputError("kind must be 'peri' or 'alt'")
 
     def oracle(mle):
-        mu, sigma = float(mle[0]), float(mle[1])
-        if sigma <= 0:
-            raise InvalidInputError("sigma component of the MLE must be positive")
+        mu = check_range("mu component of the MLE", float(mle[0]), -math.inf)
+        sigma = check_range("sigma component of the MLE", float(mle[1]))
         gvals = gvals_at(mu / sigma)
 
         def eval_terms(terms):
@@ -187,8 +184,9 @@ def exact_ttest_peri_log_marginal(n: int, kappa0: float, sigma_hat: float = 1.0)
         p_n = (2 pi)^(-n/2) sigma_hat^(-n) / sqrt(n kappa0^2 + 1)
               * (1/2) Gamma(n/2) (2/n)^(n/2).
     """
-    if n < 1 or kappa0 <= 0 or sigma_hat <= 0:
-        raise InvalidInputError("need n >= 1 and positive scales")
+    check_range("n", n, 1, closed=True)
+    check_range("kappa0", kappa0)
+    check_range("sigma_hat", sigma_hat)
     return (-0.5 * n * math.log(2.0 * math.pi) - n * math.log(sigma_hat)
             - 0.5 * math.log1p(n * kappa0 ** 2) + math.log(0.5)
             + math.lgamma(0.5 * n) + 0.5 * n * (math.log(2.0) - math.log(n)))
@@ -198,6 +196,8 @@ def ttest_stats_from_mle(mu_hat: float, sigma_hat: float, n: int):
     """One-sample t statistic implied by the normal-model MLE (mu_hat, sigma_hat)."""
     from .core import ingest_one_sample
 
+    check_range("n", n, 1)
+    check_range("sigma_hat", sigma_hat)
     # sample sd uses ddof=1 while sigma_hat is the MLE (ddof=0)
     t = mu_hat * math.sqrt(n - 1.0) / sigma_hat
     return ingest_one_sample(t, n)
@@ -222,8 +222,12 @@ class ConjugateGaussian:
     prior_sd: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.ss < 0 or self.sigma0 <= 0 or self.prior_sd <= 0:
-            raise InvalidInputError("invalid conjugate-Gaussian configuration")
+        check_range("n", self.n, 1, closed=True)
+        check_range("ss", self.ss, closed=True)
+        check_range("ybar", self.ybar, -math.inf)
+        check_range("prior_mean", self.prior_mean, -math.inf)
+        check_range("sigma0", self.sigma0)
+        check_range("prior_sd", self.prior_sd)
 
     @property
     def mle(self) -> np.ndarray:
@@ -290,10 +294,9 @@ class BetaBernoulli:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.successes < self.n:
-            raise InvalidInputError("need 0 < successes < n for an interior MLE")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidInputError("Beta prior parameters must be positive")
+        check_range("successes", self.successes, 0, check_range("n", self.n))
+        check_range("alpha", self.alpha)
+        check_range("beta", self.beta)
 
     @property
     def mle(self) -> np.ndarray:
@@ -345,8 +348,9 @@ class GammaShape:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.shape <= 0 or self.rate <= 0:
-            raise InvalidInputError("invalid gamma-shape configuration")
+        check_range("n", self.n, 1, closed=True)
+        check_range("shape", self.shape)
+        check_range("rate", self.rate)
 
     @property
     def mle(self) -> np.ndarray:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, QuadratureConvergenceError
+from .errors import InvalidInputError, QuadratureConvergenceError, check_range
 
 __all__ = ["noncentral_t_logpdf", "central_t_logpdf"]
 
@@ -67,9 +67,11 @@ def _stirling_remainder(a: float) -> float:
 
 
 def central_t_logpdf(x, nu: float):
-    """Log density of the central Student t with nu degrees of freedom."""
-    if nu <= 0:
-        raise InvalidInputError("nu must be positive")
+    """Log density of the central Student t with nu degrees of freedom; a
+    scalar ``x`` must be finite."""
+    check_range("nu", nu)
+    if isinstance(x, (int, float)):
+        check_range("x", x, -math.inf)
     out = (_log_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(nu * math.pi)
            - 0.5 * (nu + 1.0) * np.log1p(np.square(x) / nu))
     return out if np.ndim(out) else float(out)
@@ -114,7 +116,8 @@ def _log_mixture(ax, mu, nu):
     c = (math.log(2.0) + 0.5 * math.log(0.5 * nu) - math.log(2.0 * math.pi)
          - _stirling_remainder(0.5 * nu))
     at_mode = c + (nu + 1.0) * mode - 0.5 * nu * np.expm1(2.0 * mode) - 0.5 * q * q
-    return at_mode + value, np.where(fits, gap + tails, np.inf)
+    value += at_mode  # not finite where x or ncp is not: no finite window there either
+    return value, np.where(fits & np.isfinite(value), gap + tails, np.inf)
 
 
 def noncentral_t_logpdf(x, nu: float, ncp):
@@ -125,9 +128,7 @@ def noncentral_t_logpdf(x, nu: float, ncp):
     exceeds 1e-8."""
     if not np.isscalar(nu) and np.ndim(nu) != 0:
         raise InvalidInputError("nu must be a scalar")
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= 0:
-        raise InvalidInputError("nu must be positive and finite")
+    nu = check_range("nu", float(nu))
     x_b, ncp_b = np.broadcast_arrays(np.asarray(x, np.float64), np.asarray(ncp, np.float64))
     x, ncp = x_b.ravel(), ncp_b.ravel()
     out = central_t_logpdf(x, nu) - 0.5 * ncp * ncp

@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import sampling_distribution
 from .core import ingest_one_sample
 from .engine import DEFAULT_QUADRATURE, QuadratureConfig, marginal_loglik, variant_bf
-from .errors import InvalidInputError, PeriNullError, SimulationError
+from .errors import InvalidInputError, PeriNullError, SimulationError, check_range
 
 __all__ = [
     "Variant",
@@ -77,22 +77,20 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "variants", frozenset(Variant(v) for v in self.variants))
-        if self.sigma <= 0 or self.kappa0 <= 0 or self.kappa1 <= 0:
-            raise InvalidInputError("sigma, kappa0 and kappa1 must be positive")
-        if not self.n_grid or self.n_grid[0] < 2:
-            raise InvalidInputError("n_grid must start at 2 or above")
+        check_range("mu", self.mu, -math.inf)
+        for name in ("sigma", "kappa0", "kappa1", "interval_halfwidth", "shrink_constant"):
+            check_range(name, getattr(self, name))
+        check_range("mixture_weight", self.mixture_weight, 0, 1)
+        if not self.n_grid:
+            raise InvalidInputError("n_grid must not be empty")
+        check_range("n_grid[0]", self.n_grid[0], 2, closed=True)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvalidInputError("n_grid must be strictly ascending")
-        if self.replications < 1:
-            raise InvalidInputError("replications must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidInputError("seed must fit in 64 unsigned bits")
+        check_range("replications", self.replications, 1, closed=True)
+        seed = check_range("seed", self.seed, 0, 2 ** 64, closed=True)
+        object.__setattr__(self, "seed", int(seed))  # as n_grid: 0.0 seeds like 0
         if not self.variants:
             raise InvalidInputError("at least one variant is required")
-        if not 0.0 < self.mixture_weight < 1.0:
-            raise InvalidInputError("mixture_weight must lie in (0, 1)")
-        if self.interval_halfwidth <= 0 or self.shrink_constant <= 0:
-            raise InvalidInputError("interval_halfwidth and shrink_constant must be positive")
 
     @property
     def ordered_variants(self) -> tuple:
@@ -194,6 +192,7 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
     reduction happens in replication order.
     """
     reps = cfg.replications
+    check_range("workers", workers, -math.inf)
     # a forked pool starts all its workers at once, so it gets no more than
     # the replications and the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -261,6 +260,7 @@ def detect_crossing(result: SimResult, variant: Variant, bound: float) -> Option
     crossing direction follows from the curve itself. Returns None when the
     curve never reaches the bound inside the grid.
     """
+    check_range("bound", bound, -math.inf)
     ns, means = result.mean_curve(variant)
     valid = ~np.isnan(means)
     ns, means = ns[valid], means[valid]

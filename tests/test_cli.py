@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -362,13 +363,44 @@ def test_cold_process_loads_scipy_only_for_the_interval_null():
     (["bf", "--variant", "peripoint", "--t", "1", "--n", "50", "--kappa0", "1e200",
       "--json"], 0),
     (["bf", "--variant", "shrinking", "--t", "1", "--n", "50", "--c", "1e300", "--json"], 0),
+    (["bf", "--t", "2", "--n", "90", "--variant", "point", "--kappa1", "nan"], 2),
+    (["bf", "--t", "2", "--n", "90", "--variant", "peri", "--kappa0", "nan"], 2),
+    (["bf", "--t", "2", "--n", "90", "--variant", "shrinking", "--c", "inf"], 2),
+    (["bf", "--t", "2", "--n", "90", "--variant", "point", "--prior-odds", "nan"], 2),
+    (["simulate", "--mu", "nan", "--kappa0", "0.05", "--kappa1", "1", "--ngrid", "50:50:1",
+      "--reps", "1", "--seed", "3"], 2),
+    (["laplace-verify", "--model", "ttest-peri", "--theta", "0", "nan"], 2),
+    (["asymptotics", "--mu", "0.1", "--kappa0", "0.05", "--kappa1", "1", "--out", "x.csv"], 2),
+    (["simulate", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1", "--ngrid", "50:50:1",
+      "--reps", "1", "--seed", "3", "--variants", "point,nonsense"], 2),
 ])
 def test_extreme_scales_keep_the_exit_contract(capsys, argv, expected_code):
     """Scales far outside double range: a peri-null Bayes factor is still
-    finite, and the closed forms refuse with exit 3; never a traceback."""
-    code, out, err = run_cli(capsys, *argv)
+    finite, and the closed forms refuse with exit 3. Non-finite flags,
+    ``--out`` without ``--grid`` and unknown variants are usage errors
+    (exit 2). Never a traceback."""
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
     assert code == expected_code
+    assert "Traceback" not in err
     if expected_code == 0:
         assert math.isfinite(json.loads(out)["log_bf"])
-    else:
+    elif expected_code == 3:
         assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("demo", sorted(
+    (Path(__file__).resolve().parents[1] / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs_to_the_end(tmp_path, demo):
+    """Each demo script runs without error, from a copy, because
+    ``inconsistency_curves.py`` writes its CSV next to itself."""
+    shutil.copy(demo, tmp_path)
+    src = str(Path(perinull.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, demo.name], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
