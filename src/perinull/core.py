@@ -225,7 +225,11 @@ def ingest_two_sample(mean1: float, sd1: float, n1: int,
     check_range("n1", n1, 2, closed=True)
     check_range("n2", n2, 2, closed=True)
     nu = n1 + n2 - 2
-    pooled_var = ((n1 - 1) * sd1 ** 2 + (n2 - 1) * sd2 ** 2) / nu
+    try:  # a float ** raises OverflowError where * gives inf
+        pooled_var = ((n1 - 1) * sd1 ** 2 + (n2 - 1) * sd2 ** 2) / nu
+    except OverflowError:
+        pooled_var = math.inf
+    check_range("pooled variance", pooled_var)
     se = math.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
     t = (mean1 - mean2) / se
     return SummaryStats(t=t, nu=float(nu), n_eff=n1 * n2 / (n1 + n2),

@@ -125,7 +125,8 @@ def _cauchy_g_grid(stats, kappa, lo, top=-math.inf):
     lik = c0 - 0.5 * (nu + 1.0) * np.log1p((t * t / nu) / (1.0 + n_g))
     log_f = (math.log(kappa) - _LOG_SQRT_2PI) + lik - 0.5 * (x + np.log1p(n_g)) \
         - (0.5 * kappa * kappa) / g
-    z = kappa * math.exp(-0.5 * lo)
+    # in logs: kappa * exp(-lo / 2) overflows for kappa near the double minimum
+    z = math.exp(math.log(kappa) - 0.5 * lo)
     below = math.log(2.0) - 0.5 * z * z - math.log(z) - _LOG_SQRT_2PI + float(lik[0])
     above = c0 + math.log(kappa) - 0.5 * math.log(2.0 * math.pi * n_eff) - float(x[-1])
     return x, log_f, below, above
@@ -178,7 +179,10 @@ def _marginal_truncated_cauchy(stats, prior: TruncatedCauchy, cfg):
     # about how far (in nats) the slice lies below the likelihood peak; the
     # grid reaches down to where the prior factor exp(-kappa^2 / 2g) is
     # smaller still
-    depth = 0.5 * max(0.0, t - a * c if prior.inside else a * c - t) ** 2
+    gap = max(0.0, t - a * c if prior.inside else a * c - t)
+    # gap ** 2 raises OverflowError where gap * gap gives inf, but the two
+    # differ in the last bit for about one gap in a thousand, which moves lo
+    depth = 0.5 * gap ** 2 if gap < 1e154 else math.inf
     if _LOG_ROUNDING * depth > 1.0:
         raise DegeneratePriorError(
             f"the slice lies about {depth:.3g} nats below the likelihood peak; "

@@ -10,6 +10,7 @@ M(w)[i1..iw] = sum_j cov[i1, ij] M(w-2)[i2..iw without ij].
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,8 +39,9 @@ def pair_partitions(items: Sequence) -> Iterator[list]:
 
 def pair_partition_count(w: int) -> int:
     """(w-1)!! for even w: the number of terms in an order-w moment."""
-    if w < 2 or w % 2:
-        raise InvalidInputError("w must be a positive even integer")
+    # a float is refused outright: counting up to 1e200 would never end
+    if not isinstance(w, numbers.Integral) or w < 2 or w % 2:
+        raise InvalidInputError(f"w must be a positive even integer, got {w!r}")
     count = 1
     for k in range(w - 1, 0, -2):
         count *= k

@@ -13,6 +13,13 @@ g(mu/sigma) / sigma^2 with g the effect-size prior density; normalization
 constants cancel from every C coefficient and from model comparisons, so the
 improperness is harmless here.
 
+The prior derivatives, bar the Gaussian's closed form, come from one rule,
+:func:`_derive`: the density is a sum of terms ``{key: c}`` (c x^a (x^2 +
+kappa^2)^-b for the Cauchy prior, c theta^a (1 - theta)^b for the Beta prior,
+c theta^a e^(-rate theta) for the Gamma prior, c g^(k)(mu/sigma) mu^i sigma^j
+for the t-test priors), and each prior gives the (key', factor) pairs of the
+derivative of one term.
+
 The exact log marginals use ``math.lgamma``; a log beta function is the sum
 of three of them. Against 40-digit mpmath, for n from 10 to 1e6, they are
 within 1.6e-15 relative (Beta-Bernoulli, where the three terms cancel most)
@@ -42,6 +49,40 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# term differentiation and the oracle protocol
+
+def _derive(terms, rule):
+    """d/dx of the term sum ``terms = {key: c}`` (keys are tuples):
+    ``rule(*key)`` returns the ``(key', factor)`` pairs of d/dx of key's term,
+    and c * factor is added to key' unless factor is 0."""
+    out: dict = {}
+    for key, c in terms.items():
+        for new, factor in rule(*key):
+            if factor:
+                out[new] = out.get(new, 0.0) + c * factor
+    return out
+
+
+def _derivative_values(terms, rule, evaluate):
+    """``evaluate`` of the term sum and of its first four derivatives."""
+    values = [evaluate(terms)]
+    for _ in range(4):
+        terms = _derive(terms, rule)
+        values.append(evaluate(terms))
+    return values
+
+
+def _constant_oracle(value, h_derivs) -> Callable:
+    """A log-likelihood oracle whose value and derivative arrays are fixed."""
+    return lambda mle: (value, h_derivs)
+
+
+def _prior_1d(values):
+    """A 1-D prior oracle's ``(value, {order: array})`` from g^(k), k = 0..4."""
+    return values[0], {k: np.full((1,) * k, values[k]) for k in range(1, 5)}
+
+
+# ---------------------------------------------------------------------------
 # normal likelihood in (mu, sigma), at its MLE
 
 def normal_model_oracle(n: int, sigma_hat: float) -> Callable:
@@ -50,7 +91,7 @@ def normal_model_oracle(n: int, sigma_hat: float) -> Callable:
     At the MLE the derivative arrays depend on sigma_hat only. The returned
     callable matches the ``loglik_derivative_oracle`` protocol.
     """
-    check_range("n", n, -math.inf)
+    check_range("n", n, 1, closed=True)
     s = check_range("sigma_hat", sigma_hat)
 
     # nonzero components by sorted multi-index (0 = mu, 1 = sigma)
@@ -68,12 +109,8 @@ def normal_model_oracle(n: int, sigma_hat: float) -> Callable:
             for perm in set(itertools.permutations(key)):
                 arr[perm] = value
         h_derivs[order] = arr
-    loglik = -n * (math.log(s) + 0.5 * math.log(2.0 * math.pi) + 0.5)
-
-    def oracle(mle):
-        return loglik, h_derivs
-
-    return oracle
+    return _constant_oracle(-n * (math.log(s) + 0.5 * math.log(2.0 * math.pi) + 0.5),
+                            h_derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +137,18 @@ def _gaussian_derivative_values(x: float, kappa: float, kmax: int = 4):
     return values
 
 
-def _cauchy_derivative_values(x: float, kappa: float, kmax: int = 4):
-    """g^(k)(x) for g = Cauchy(0, kappa) density, by differentiating the
-    rational term representation c * x^a * (x^2 + kappa^2)^-b."""
-    terms = {(0, 1): kappa / math.pi}
-    values = []
+def _cauchy_derivative_values(x: float, kappa: float):
+    """g^(k)(x) for g = Cauchy(0, kappa) density, from the terms
+    ``{(a, b): c}`` == c * x^a * (x^2 + kappa^2)^-b."""
     q = x * x + kappa * kappa
-    for _ in range(kmax + 1):
-        values.append(sum(c * x ** a * q ** -b for (a, b), c in terms.items()))
-        new: dict = {}
-        for (a, b), c in terms.items():
-            if a:
-                new[(a - 1, b)] = new.get((a - 1, b), 0.0) + c * a
-            new[(a + 1, b + 1)] = new.get((a + 1, b + 1), 0.0) - 2.0 * b * c
-        terms = new
-    return values
+    return _derivative_values(
+        {(0, 1): kappa / math.pi}, lambda a, b: (((a - 1, b), a), ((a + 1, b + 1), -2.0 * b)),
+        lambda terms: sum(c * x ** a * q ** -b for (a, b), c in terms.items()))
 
 
-def _d_mu(terms):
-    # term dict {(k, i, j): c} == c * g^(k)(mu/sigma) * mu^i * sigma^j
-    out: dict = {}
-    for (k, i, j), c in terms.items():
-        out[(k + 1, i, j - 1)] = out.get((k + 1, i, j - 1), 0.0) + c
-        if i:
-            out[(k, i - 1, j)] = out.get((k, i - 1, j), 0.0) + c * i
-    return out
-
-
-def _d_sigma(terms):
-    out: dict = {}
-    for (k, i, j), c in terms.items():
-        out[(k + 1, i + 1, j - 2)] = out.get((k + 1, i + 1, j - 2), 0.0) - c
-        if j:
-            out[(k, i, j - 1)] = out.get((k, i, j - 1), 0.0) + c * j
-    return out
+# d/dmu and d/dsigma of the term (k, i, j) == g^(k)(mu/sigma) * mu^i * sigma^j
+_TTEST_RULES = (lambda k, i, j: (((k + 1, i, j - 1), 1), ((k, i - 1, j), i)),
+                lambda k, i, j: (((k + 1, i + 1, j - 2), -1), ((k, i, j - 1), j)))
 
 
 def ttest_prior_oracle(kind: str, kappa: float) -> Callable:
@@ -149,28 +164,21 @@ def ttest_prior_oracle(kind: str, kappa: float) -> Callable:
         gvals_at = lambda x: _cauchy_derivative_values(x, kappa)
     else:
         raise InvalidInputError("kind must be 'peri' or 'alt'")
+    # the terms of d^idx pi for each multi-index idx (0 = mu, 1 = sigma) up to
+    # order 4, each derived from its prefix
+    terms = {(): {(0, 0, -2): 1.0}}
+    for order in range(1, 5):
+        for idx in itertools.product(range(2), repeat=order):
+            terms[idx] = _derive(terms[idx[:-1]], _TTEST_RULES[idx[-1]])
 
     def oracle(mle):
         mu = check_range("mu component of the MLE", float(mle[0]), -math.inf)
         sigma = check_range("sigma component of the MLE", float(mle[1]))
         gvals = gvals_at(mu / sigma)
-
-        def eval_terms(terms):
-            return sum(c * gvals[k] * mu ** i * sigma ** j
-                       for (k, i, j), c in terms.items())
-
-        base = {(0, 0, -2): 1.0}
-        value = eval_terms(base)
-        derivs = {}
-        for order in range(1, 5):
-            arr = np.empty((2,) * order)
-            for idx in itertools.product(range(2), repeat=order):
-                t = base
-                for axis in idx:
-                    t = _d_mu(t) if axis == 0 else _d_sigma(t)
-                arr[idx] = eval_terms(t)
-            derivs[order] = arr
-        return value, derivs
+        v = {idx: sum(c * gvals[k] * mu ** i * sigma ** j for (k, i, j), c in t.items())
+             for idx, t in terms.items()}
+        return v[()], {order: np.reshape([v[idx] for idx in itertools.product(
+            range(2), repeat=order)], (2,) * order) for order in range(1, 5)}
 
     return oracle
 
@@ -244,20 +252,11 @@ class ConjugateGaussian:
         value = -0.5 * self.n * math.log(2.0 * math.pi * s2) - self.ss / (2.0 * s2)
         h_derivs = {k: np.zeros((1,) * k) for k in range(2, 7)}
         h_derivs[2][0, 0] = 1.0 / s2
-
-        def oracle(mle):
-            return value, h_derivs
-
-        return oracle
+        return _constant_oracle(value, h_derivs)
 
     def prior_oracle(self) -> Callable:
-        def oracle(mle):
-            gvals = _gaussian_derivative_values(float(mle[0]) - self.prior_mean,
-                                                self.prior_sd)
-            derivs = {k: np.full((1,) * k, gvals[k]) for k in range(1, 5)}
-            return gvals[0], derivs
-
-        return oracle
+        return lambda mle: _prior_1d(_gaussian_derivative_values(
+            float(mle[0]) - self.prior_mean, self.prior_sd))
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +264,6 @@ class ConjugateGaussian:
 
 def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _rational_derivative_values(exponents, point: float, kmax: int = 4):
-    """Derivatives of sum_i c_i theta^a_i (1-theta)^b_i at ``point``."""
-    terms = dict(exponents)
-    values = []
-    for _ in range(kmax + 1):
-        values.append(sum(c * point ** a * (1.0 - point) ** b
-                          for (a, b), c in terms.items()))
-        new: dict = {}
-        for (a, b), c in terms.items():
-            if a:
-                new[(a - 1.0, b)] = new.get((a - 1.0, b), 0.0) + c * a
-            if b:
-                new[(a, b - 1.0)] = new.get((a, b - 1.0), 0.0) - c * b
-        terms = new
-    return values
 
 
 @dataclass(frozen=True)
@@ -314,19 +296,16 @@ class BetaBernoulli:
             v = math.factorial(order - 1) * ((-1.0) ** order / p ** (order - 1)
                                              + 1.0 / (1.0 - p) ** (order - 1))
             h_derivs[order] = np.full((1,) * order, v)
-
-        def oracle(mle):
-            return value, h_derivs
-
-        return oracle
+        return _constant_oracle(value, h_derivs)
 
     def prior_oracle(self) -> Callable:
-        norm = math.exp(-_log_beta(self.alpha, self.beta))
-        exponents = {(self.alpha - 1.0, self.beta - 1.0): norm}
+        terms = {(self.alpha - 1.0, self.beta - 1.0): math.exp(-_log_beta(self.alpha, self.beta))}
 
         def oracle(mle):
-            vals = _rational_derivative_values(exponents, float(mle[0]))
-            return vals[0], {k: np.full((1,) * k, vals[k]) for k in range(1, 5)}
+            theta = float(mle[0])
+            return _prior_1d(_derivative_values(
+                terms, lambda a, b: (((a - 1.0, b), a), ((a, b - 1.0), -b)),
+                lambda t: sum(c * theta ** a * (1.0 - theta) ** b for (a, b), c in t.items())))
 
         return oracle
 
@@ -365,30 +344,17 @@ class GammaShape:
         # h = theta - log theta; derivatives at 1: 1, -2, 6, -24, 120
         h_derivs = {k: np.full((1,) * k, v) for k, v in
                     zip(range(2, 7), (1.0, -2.0, 6.0, -24.0, 120.0))}
-        value = -float(self.n)
-
-        def oracle(mle):
-            return value, h_derivs
-
-        return oracle
+        return _constant_oracle(-float(self.n), h_derivs)
 
     def prior_oracle(self) -> Callable:
-        norm = self.rate ** self.shape / math.exp(math.lgamma(self.shape))
+        # terms {(a,): c} == c * theta^a * exp(-rate theta)
+        terms = {(self.shape - 1.0,): self.rate ** self.shape / math.exp(math.lgamma(self.shape))}
 
         def oracle(mle):
             theta = float(mle[0])
-            # terms c * theta^a * exp(-rate theta)
-            terms = {self.shape - 1.0: norm}
-            vals = []
-            for _ in range(5):
-                vals.append(sum(c * theta ** a for a, c in terms.items())
-                            * math.exp(-self.rate * theta))
-                new: dict = {}
-                for a, c in terms.items():
-                    if a:
-                        new[a - 1.0] = new.get(a - 1.0, 0.0) + c * a
-                    new[a] = new.get(a, 0.0) - c * self.rate
-                terms = new
-            return vals[0], {k: np.full((1,) * k, vals[k]) for k in range(1, 5)}
+            return _prior_1d(_derivative_values(
+                terms, lambda a: (((a - 1.0,), a), ((a,), -self.rate)),
+                lambda t: sum(c * theta ** a for (a,), c in t.items())
+                * math.exp(-self.rate * theta)))
 
         return oracle

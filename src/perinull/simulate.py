@@ -86,7 +86,10 @@ class SimConfig:
         check_range("n_grid[0]", self.n_grid[0], 2, closed=True)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvalidInputError("n_grid must be strictly ascending")
-        check_range("replications", self.replications, 1, closed=True)
+        replications = check_range("replications", self.replications, 1, closed=True)
+        if replications != int(replications):
+            raise InvalidInputError(f"replications must be an integer, got {replications}")
+        object.__setattr__(self, "replications", int(replications))  # 2.0 runs like 2
         seed = check_range("seed", self.seed, 0, 2 ** 64, closed=True)
         object.__setattr__(self, "seed", int(seed))  # as n_grid: 0.0 seeds like 0
         if not self.variants:

@@ -373,6 +373,12 @@ def test_cold_process_loads_scipy_only_for_the_interval_null():
     (["asymptotics", "--mu", "0.1", "--kappa0", "0.05", "--kappa1", "1", "--out", "x.csv"], 2),
     (["simulate", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1", "--ngrid", "50:50:1",
       "--reps", "1", "--seed", "3", "--variants", "point,nonsense"], 2),
+    (["bf", "--t", "2", "--n", "50", "--variant", "point", "--kappa1", "1e-308"], 3),
+    (["bf", "--t", "2", "--n", "50", "--variant", "interval", "--kappa1", "1e-308"], 3),
+    (["bf", "--t", "2", "--n", "50", "--variant", "interval", "--a", "1e200"], 3),
+    (["bf", "--summary", "0", "1e200", "5", "1", "1", "5", "--variant", "point"], 3),
+    (["simulate", "--mu", "0", "--kappa0", "0.05", "--kappa1", "1e-308", "--ngrid", "50:50:1",
+      "--reps", "1", "--seed", "3"], 3),
 ])
 def test_extreme_scales_keep_the_exit_contract(capsys, argv, expected_code):
     """Scales far outside double range: a peri-null Bayes factor is still

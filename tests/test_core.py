@@ -78,6 +78,8 @@ class TestIngestTwoSample:
         (0.0, 1.0, 5, 0.0, math.inf, 5),
         (0.0, 1.0, math.inf, 0.0, 1.0, 5),
         (0.0, 1.0, 5, 0.0, 1.0, math.nan),
+        (0.0, 1e200, 5, 1.0, 1.0, 5),
+        (0.0, 1e-200, 5, 1.0, 1e-200, 5),
     ])
     def test_invalid_inputs(self, bad):
         with pytest.raises(InvalidInputError):
@@ -97,6 +99,10 @@ class TestIngestOneSample:
         for bad in (1, math.nan, math.inf):
             with pytest.raises(InvalidInputError):
                 ingest_one_sample(0.0, bad)
+        # so does the normal-model oracle of the Laplace expansion: n >= 1
+        for bad in (0, -5):
+            with pytest.raises(InvalidInputError):
+                models.normal_model_oracle(bad, 1.0)
 
 
 class TestValueObjects:

@@ -41,8 +41,10 @@ class TestPairPartitions:
         assert len(seen) == 15
 
     def test_odd_w_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pair_partition_count(5)
+        # a float, even an integral one, is refused rather than counted
+        for w in (5, 6.0, 1e200):
+            with pytest.raises(InvalidInputError):
+                pair_partition_count(w)
 
 
 class TestIsserlisMoment:

@@ -46,6 +46,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(replications=0)
         with pytest.raises(InvalidInputError):
+            small_config(replications=2.5)
+        assert run_simulation(small_config(replications=2.0, n_grid=(50,))).cells == \
+            run_simulation(small_config(replications=2, n_grid=(50,))).cells
+        with pytest.raises(InvalidInputError):
             small_config(mixture_weight=1.0)
 
     def test_variant_coercion(self):
